@@ -356,10 +356,6 @@ def oracle_integrate_with_error(surface, integrand, grid: QuadratureGrid):
     return value, abs(value - oracle_integrate(surface, integrand, coarse))
 
 
-def surface_area(surface, grid):
-    return oracle_integrate(surface, lambda g: 1.0, grid)
-
-
 def enclosed_volume(surface, grid):
     """Signed volume of a closed oracle surface (divergence theorem)."""
     if not surface.closed:

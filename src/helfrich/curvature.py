@@ -11,6 +11,7 @@ out of the interior mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,10 +28,33 @@ class CurvatureBundle:
     normal: np.ndarray             # inward unit normal, (V, 3)
     mean_curvature: np.ndarray     # H = k1 + k2
     gauss_curvature: np.ndarray    # K = k1 k2
-    tracefree_sq: np.ndarray       # |A deg|^2 = max(0, H^2/2 - 2K)
+    tracefree_raw: np.ndarray      # H^2/2 - 2K, unclamped
+    laplace_mean_curvature: np.ndarray  # cotangent Laplacian of H
     interior: np.ndarray           # bool mask, False on boundary vertices
-    clamp_count: int               # vertices where H^2/2 - 2K < 0 was clamped
-    clamp_max: float               # largest clamped magnitude
+
+    # The clamped value and its statistics are worked out when read: the
+    # residual-descent objective evaluates thousands of bundles and reads
+    # only the unclamped value.
+    @cached_property
+    def tracefree_sq(self):
+        """|A deg|^2 = max(0, H^2/2 - 2K)."""
+        raw = self.tracefree_raw
+        return np.where(raw < 0.0, 0.0, raw)
+
+    @property
+    def _clamped(self):
+        return (self.tracefree_raw < 0.0) & self.interior
+
+    @property
+    def clamp_count(self):
+        """Vertices where H^2/2 - 2K < 0 was clamped."""
+        return int(self._clamped.sum())
+
+    @property
+    def clamp_max(self):
+        """Largest clamped magnitude."""
+        clamped = self._clamped
+        return float(np.abs(self.tracefree_raw[clamped]).max()) if clamped.any() else 0.0
 
     @property
     def clamp_fraction(self):
@@ -118,7 +142,8 @@ def _edge_arrays(mesh, cots):
 
 
 def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
-    """Vectorized cotangent/angle-defect curvature estimate at every vertex."""
+    """Vectorized cotangent/angle-defect curvature estimate at every vertex,
+    with the Laplacian of H from the same face-geometry pass."""
     cots, area, cross, angles, voronoi = _face_data(mesh)
     V = mesh.n_vertices
     areas, inward = _mixed_area_and_normals(mesh, cross, voronoi)
@@ -133,20 +158,16 @@ def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
     defect = 2.0 * np.pi - _scatter_add(V, mesh.faces.reshape(-1), angles.reshape(-1))
     K = defect / areas
 
-    raw = 0.5 * H * H - 2.0 * K
-    clamped = raw < 0.0
-    tracefree = np.where(clamped, 0.0, raw)
-
     interior = ~mesh.boundary_vertex
-    for arr in (H, K, tracefree):
-        arr[~interior] = np.nan
+    H[mesh.boundary_vertex] = np.nan
+    K[mesh.boundary_vertex] = np.nan
 
-    n_clamped = int((clamped & interior).sum())
-    clamp_max = float(np.abs(raw[clamped & interior]).max()) if n_clamped else 0.0
+    raw = 0.5 * H * H - 2.0 * K
+    d = w * (H[j] - H[i])
+    lap_H = (_scatter_add(V, i, d) + _scatter_add(V, j, -d)) / areas
     return CurvatureBundle(
         vertex_area=areas, normal=inward, mean_curvature=H, gauss_curvature=K,
-        tracefree_sq=tracefree, interior=interior,
-        clamp_count=n_clamped, clamp_max=clamp_max)
+        tracefree_raw=raw, laplace_mean_curvature=lap_H, interior=interior)
 
 
 def cotan_operator(mesh: TriangleMesh) -> SparseOperator:
@@ -169,48 +190,6 @@ def laplace_field(op: SparseOperator, field) -> np.ndarray:
         raise OperatorError(
             f"field length {field.shape} does not match vertex count {len(op.mass)}")
     return (op.stiffness @ field) / op.mass
-
-
-def laplace_of_field_fast(mesh: TriangleMesh, field, areas, cots):
-    """Matrix-free Laplacian used in descent inner loops."""
-    i, j, w = _edge_arrays(mesh, cots)
-    d = w * (field[j] - field[i])
-    V = mesh.n_vertices
-    return (_scatter_add(V, i, d) + _scatter_add(V, j, -d)) / areas
-
-
-def bundle_with_laplacian(mesh: TriangleMesh):
-    """Curvature bundle plus Laplacian of H, sharing one face-geometry pass."""
-    cots, area, cross, angles, voronoi = _face_data(mesh)
-    V = mesh.n_vertices
-    areas, inward = _mixed_area_and_normals(mesh, cross, voronoi)
-
-    i, j, w = _edge_arrays(mesh, cots)
-    pos = mesh.vertices
-    flux = w[:, None] * (pos[j] - pos[i])
-    lap_pos = _scatter_add(V, i, flux) + _scatter_add(V, j, -flux)
-    H = np.einsum("ij,ij->i", lap_pos, inward) / areas
-
-    defect = 2.0 * np.pi - _scatter_add(V, mesh.faces.reshape(-1), angles.reshape(-1))
-    K = defect / areas
-    raw = 0.5 * H * H - 2.0 * K
-    clamped = raw < 0.0
-    tracefree = np.where(clamped, 0.0, raw)
-
-    interior = ~mesh.boundary_vertex
-    for arr in (H, K, tracefree):
-        arr[~interior] = np.nan
-
-    d = w * (H[j] - H[i])
-    lap_H = (_scatter_add(V, i, d) + _scatter_add(V, j, -d)) / areas
-
-    n_clamped = int((clamped & interior).sum())
-    clamp_max = float(np.abs(raw[clamped & interior]).max()) if n_clamped else 0.0
-    bundle = CurvatureBundle(
-        vertex_area=areas, normal=inward, mean_curvature=H, gauss_curvature=K,
-        tracefree_sq=tracefree, interior=interior,
-        clamp_count=n_clamped, clamp_max=clamp_max)
-    return bundle, lap_H
 
 
 def angle_defect_total(mesh: TriangleMesh) -> float:

@@ -85,10 +85,8 @@ def _assemble_report(area, volume, willmore, bending, gap, params, closed):
                         breakdown=breakdown, closed=closed)
 
 
-def _mesh_energies(mesh: TriangleMesh, params: EnergyParams,
-                   bundle=None) -> EnergyReport:
-    if bundle is None:
-        bundle = curvature_bundle(mesh)
+def _mesh_energies(mesh: TriangleMesh, params: EnergyParams) -> EnergyReport:
+    bundle = curvature_bundle(mesh)
     ints = mesh_integrals(mesh)
     m = bundle.interior
     a = bundle.vertex_area[m]

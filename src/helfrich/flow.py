@@ -22,34 +22,22 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (
-    _edge_arrays,
-    _face_data,
-    _mixed_area_and_normals,
-    _scatter_add,
-)
+from .curvature import curvature_bundle
+# Not used here: bound so that the benchmark tracer, which wraps every module
+# binding of the face pass (perfbench/tracing.py), keeps finding it in flow.
+from .curvature import _face_data  # noqa: F401
 from .energy import EnergyParams
-from .errors import FitError, NumericalError, UnsupportedError
+from .errors import FitError, NumericalError, OperatorError, UnsupportedError
 from .mesh import TriangleMesh, mesh_integrals, validate
-from .variation import energy_gradient, mesh_energy, residual_values
+from .variation import el_residual, energy_gradient, mesh_energy, residual_values
 
 MODES = ("energy_descent", "residual_descent")
 VERDICTS = ("converged", "max_iters", "degenerate_mesh")
-
-
-def thread_count():
-    """Worker bound from HELFRICH_THREADS (default 1, i.e. serial)."""
-    try:
-        return max(1, int(os.environ.get("HELFRICH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -154,33 +142,16 @@ class FlowTrace:
             fh.write("\n")
 
 
-def _smooth_state(mesh):
-    """Residual ingredients with the raw (unclamped) tracefree value."""
-    cots, _, cross, angles, voronoi = _face_data(mesh)
-    areas, inward = _mixed_area_and_normals(mesh, cross, voronoi)
-    i, j, w = _edge_arrays(mesh, cots)
-    pos = mesh.vertices
-    V = mesh.n_vertices
-    flux = w[:, None] * (pos[j] - pos[i])
-    lap_pos = _scatter_add(V, i, flux) + _scatter_add(V, j, -flux)
-    H = np.einsum("ij,ij->i", lap_pos, inward) / areas
-    defect = 2.0 * np.pi - _scatter_add(V, mesh.faces.reshape(-1), angles.reshape(-1))
-    K = defect / areas
-    raw = 0.5 * H * H - 2.0 * K
-    d = w * (H[j] - H[i])
-    lap_H = (_scatter_add(V, i, d) + _scatter_add(V, j, -d)) / areas
-    return H, K, raw, lap_H, areas, inward
-
-
-def _weighted_residual(mesh, params):
-    """sqrt(area) * residual so that its squared norm is the objective."""
-    H, K, raw, lap_H, areas, inward = _smooth_state(mesh)
-    r = residual_values(lap_H, H, K, raw, params)
-    return np.sqrt(areas) * r, areas, inward
+def _weighted_residual(bundle, params):
+    """sqrt(area) * unclamped residual, so that its squared norm is the
+    objective."""
+    r = residual_values(bundle.laplace_mean_curvature, bundle.mean_curvature,
+                        bundle.gauss_curvature, bundle.tracefree_raw, params)
+    return np.sqrt(bundle.vertex_area) * r
 
 
 def _residual_objective(mesh, params):
-    rho, _, _ = _weighted_residual(mesh, params)
+    rho = _weighted_residual(curvature_bundle(mesh), params)
     return float(rho @ rho)
 
 
@@ -196,32 +167,24 @@ class _ResidualEngine:
         return _residual_objective(mesh, self.params)
 
     def direction(self, mesh):
-        rho0, areas, normals = _weighted_residual(mesh, self.params)
+        def rho(positions):
+            bundle = curvature_bundle(mesh.with_positions(positions))
+            return _weighted_residual(bundle, self.params)
+
+        bundle = curvature_bundle(mesh)
+        rho0 = _weighted_residual(bundle, self.params)
+        normals = bundle.normal
         V = mesh.n_vertices
         h = self.config.fd_step_rel * mesh.bbox_diagonal()
         base = mesh.vertices
         J = np.empty((V, V))
-
-        def fill(lo, hi):
-            for j in range(lo, hi):
-                step = h * normals[j]
-                plus = base.copy()
-                plus[j] += step
-                minus = base.copy()
-                minus[j] -= step
-                J[:, j] = (
-                    _weighted_residual(mesh.with_positions(plus), self.params)[0]
-                    - _weighted_residual(mesh.with_positions(minus), self.params)[0]
-                ) / (2.0 * h)
-
-        workers = thread_count()
-        if workers == 1:
-            fill(0, V)
-        else:
-            bounds = np.linspace(0, V, workers + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda k: fill(bounds[k], bounds[k + 1]),
-                              range(workers)))
+        for j in range(V):
+            step = h * normals[j]
+            plus = base.copy()
+            plus[j] += step
+            minus = base.copy()
+            minus[j] -= step
+            J[:, j] = (rho(plus) - rho(minus)) / (2.0 * h)
         g = 2.0 * (J.T @ rho0)
         JtJ = J.T @ J
         damp = self.mu * np.maximum(np.diag(JtJ), 1e-30)
@@ -259,9 +222,11 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
              config: FlowConfig) -> FlowTrace:
     """Armijo-backtracking descent on the configured objective.
 
-    Every accepted step strictly decreases the objective; the mesh is
-    revalidated after each accepted step, and degeneration is a terminal
-    verdict rather than an exception.
+    Every accepted step strictly decreases the objective.  Manifoldness and
+    orientation are checked once on entry, since moving vertices cannot
+    change connectivity; a trial step that collapses a face ends the run
+    with the degenerate_mesh verdict and the last accepted mesh, rather than
+    an exception.
     """
     config.validate()
     if not mesh.closed:
@@ -278,19 +243,16 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     message = "iteration cap reached"
 
     def record(m, it, obj, step_size, accepted):
-        H, K, raw, lap_H, areas, inward = _smooth_state(m)
-        r = residual_values(lap_H, H, K, np.maximum(raw, 0.0), params)
-        res_l2 = float(np.sqrt((r * r * areas).sum()))
-        res_linf = float(np.abs(r).max())
+        field = el_residual(m, params)
         try:
             center, radius, rms = best_fit_sphere(m)
         except FitError:
             center, radius, rms = (np.nan, np.nan, np.nan), np.nan, np.nan
         rows.append(FlowRow(
             iteration=it, objective=obj, energy=mesh_energy(m, params),
-            area=float(areas.sum()),
+            area=float(field.areas.sum()),
             volume=mesh_integrals(m)["signed_volume"],
-            residual_l2=res_l2, residual_linf=res_linf, step_size=step_size,
+            residual_l2=field.l2, residual_linf=field.linf, step_size=step_size,
             accepted=accepted, fit_center=tuple(center), fit_radius=radius,
             fit_rms=rms))
 
@@ -318,13 +280,20 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
         backtracks = 0
         while s * d_max > config.step_tol:
             trial = mesh.with_positions(mesh.vertices + s * direction)
-            trial_obj = engine.objective(trial)
+            try:
+                trial_obj = engine.objective(trial)
+            except OperatorError as e:
+                verdict = "degenerate_mesh"
+                message = f"trial step: {e}"
+                break
             if np.isfinite(trial_obj) and \
                     trial_obj <= obj - config.sufficient_decrease * s * slope:
                 accepted = True
                 break
             s *= config.backtrack_factor
             backtracks += 1
+        if verdict == "degenerate_mesh":
+            break
         if not accepted:
             verdict = "converged"
             message = "no acceptable step above the step tolerance"
@@ -336,11 +305,6 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
         it += 1
         if it % config.log_every == 0 or it == config.max_iterations:
             record(mesh, it, obj, s * d_max, True)
-        diag = validate(mesh)
-        if not diag.ok:
-            verdict = "degenerate_mesh"
-            message = "; ".join(diag.messages) or "validation failed"
-            break
 
     if not rows or rows[-1].iteration != it:
         record(mesh, it, obj, 0.0, False)

@@ -9,6 +9,7 @@ signs downstream are taken against the inward normal.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,14 +169,14 @@ class TriangleMesh:
         vertices = np.asarray(vertices, dtype=np.float64)
         if vertices.shape != self.vertices.shape:
             raise ValueError("positions shape mismatch")
-        new = object.__new__(TriangleMesh)
         vertices = vertices.copy()
         vertices.flags.writeable = False
+        # Shallow copy: every attribute but the positions is connectivity (or
+        # the source spec) and is shared, so nothing derived from positions
+        # may be stored on the instance.
+        new = object.__new__(TriangleMesh)
+        new.__dict__.update(self.__dict__)
         new.vertices = vertices
-        for name in ("faces", "he_origin", "he_face", "he_next", "he_twin",
-                     "is_boundary_halfedge", "boundary_vertex", "_he_dest",
-                     "_duplicate_directed", "n_edges", "closed", "source"):
-            setattr(new, name, getattr(self, name))
         return new
 
     @property
@@ -546,6 +547,16 @@ def load_mesh(path) -> TriangleMesh:
     return mesh
 
 
+def _parse_vertex(tokens, ln):
+    try:
+        point = tuple(float(t) for t in tokens)
+    except ValueError:
+        raise MeshInputError("bad vertex line", line=ln) from None
+    if not all(math.isfinite(x) for x in point):
+        raise MeshInputError("non-finite vertex coordinate", line=ln)
+    return point
+
+
 def _parse_obj(lines):
     verts, faces = [], []
     for ln, raw in enumerate(lines, start=1):
@@ -555,10 +566,7 @@ def _parse_obj(lines):
         if parts[0] == "v":
             if len(parts) < 4:
                 raise MeshInputError("vertex needs 3 coordinates", line=ln)
-            try:
-                verts.append(tuple(float(t) for t in parts[1:4]))
-            except ValueError:
-                raise MeshInputError("bad vertex line", line=ln) from None
+            verts.append(_parse_vertex(parts[1:4], ln))
         elif parts[0] == "f":
             idx = parts[1:]
             if len(idx) != 3:
@@ -592,10 +600,7 @@ def _parse_off(lines):
         raise MeshInputError(f"expected {nv} vertices and {nf} faces", line=ln1)
     verts, faces = [], []
     for ln, s in body[:nv]:
-        try:
-            verts.append(tuple(float(t) for t in s.split()[:3]))
-        except ValueError:
-            raise MeshInputError("bad vertex line", line=ln) from None
+        verts.append(_parse_vertex(s.split()[:3], ln))
     for ln, s in body[nv:nv + nf]:
         toks = s.split()
         if not toks or toks[0] != "3":

@@ -3,8 +3,7 @@
 The residual of the locally constrained Willmore functional is
 lap H + H |A deg|^2 - 2 lam1 H - 2 lam2; nonzero spontaneous curvature adds
 2 c0 K and shifts the H weight to 2 lam1 + c0^2/2 (first-variation operator,
-stored without its overall minus sign; the sign convention constant is
-RESIDUAL_SIGN below).
+stored without its overall minus sign).
 
 The assembled gradient is the normal L^2 gradient 0.5 * residual * area * nu
 with nu the inward vertex normal; finite differences provide the independent
@@ -19,14 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ParametricSurface, QuadratureGrid
-from .curvature import bundle_with_laplacian, curvature_bundle
+from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
 from .errors import UndefinedFunctionalError, UnsupportedError
 from .mesh import TriangleMesh
-
-# The first-variation operator of the Helfrich energy equals minus the
-# parenthesized expression assembled here; we store the parenthesized form.
-RESIDUAL_SIGN = -1.0
 
 FD_STEP_REL = 1e-5      # of the bounding-box diagonal
 
@@ -84,16 +79,18 @@ def _stencil_interior(mesh, interior):
     return interior & ~nbr_bad
 
 
+def _mesh_residual(mesh, bundle, params) -> ResidualField:
+    vals = residual_values(bundle.laplace_mean_curvature, bundle.mean_curvature,
+                           bundle.gauss_curvature, bundle.tracefree_sq, params)
+    mask = _stencil_interior(mesh, bundle.interior)
+    return ResidualField(values=vals, areas=bundle.vertex_area,
+                         interior=mask, source_kind="mesh")
+
+
 def el_residual(source, params: EnergyParams, grid=None) -> ResidualField:
     """Euler-Lagrange residual field on a mesh or an oracle surface."""
     if isinstance(source, TriangleMesh):
-        bundle, lap_H = bundle_with_laplacian(source)
-        vals = residual_values(lap_H, bundle.mean_curvature,
-                               bundle.gauss_curvature, bundle.tracefree_sq,
-                               params)
-        mask = _stencil_interior(source, bundle.interior)
-        return ResidualField(values=vals, areas=bundle.vertex_area,
-                             interior=mask, source_kind="mesh")
+        return _mesh_residual(source, curvature_bundle(source), params)
     if isinstance(source, ParametricSurface):
         if source.laplace_mean_curvature_fn is None:
             raise UnsupportedError(
@@ -113,22 +110,16 @@ def el_residual(source, params: EnergyParams, grid=None) -> ResidualField:
 
 # -- mesh energies and exact polyhedral gradients -------------------------------
 
-def mesh_energy(mesh: TriangleMesh, params: EnergyParams, bundle=None) -> float:
+def mesh_energy(mesh: TriangleMesh, params: EnergyParams) -> float:
     """Helfrich total for closed meshes; pure bending energy when all weights
     vanish (the only case permitted on open meshes)."""
-    report = evaluate_energies(mesh, params) if bundle is None else \
-        _energies_with_bundle(mesh, params, bundle)
+    report = evaluate_energies(mesh, params)
     if report.closed:
         return report.helfrich
     if params.lam1 == 0.0 and params.lam2 == 0.0:
         return report.breakdown["bending"]
     raise UndefinedFunctionalError(
         "area/volume-weighted energy on an open mesh")
-
-
-def _energies_with_bundle(mesh, params, bundle):
-    from .energy import _mesh_energies
-    return _mesh_energies(mesh, params, bundle=bundle)
 
 
 def area_gradient(mesh: TriangleMesh) -> np.ndarray:
@@ -168,8 +159,8 @@ def energy_gradient(mesh: TriangleMesh, params: EnergyParams,
         raise UndefinedFunctionalError(
             "area/volume-weighted gradient on an open mesh")
     if method == "assembled":
-        field = el_residual(mesh, params)
         bundle = curvature_bundle(mesh)
+        field = _mesh_residual(mesh, bundle, params)
         vals = np.where(field.interior, field.values, 0.0)
         return 0.5 * (vals * field.areas)[:, None] * bundle.normal
     if method == "finite_difference":

@@ -32,6 +32,21 @@ def test_energy_eval_missing_mesh(tmp_path, capsys):
     assert "missing.obj" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, vertex_line", [("ball.obj", "v nan 0 1"),
+                                               ("ball.off", "0 -inf 1")])
+def test_non_finite_vertex_rejected(tmp_path, capsys, name, vertex_line):
+    out = str(tmp_path)
+    assert run(["mesh-make", "--kind", "icosphere", "--level", "2",
+                "--out", out, "--mesh-out", name]) == EXIT_OK
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[4] = vertex_line
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["energy-eval", "--mesh", str(path), "--out", out]) == EXIT_BADINPUT
+    assert "non-finite vertex coordinate at line 5" in capsys.readouterr().err
+
+
 def test_scan_finds_root(tmp_path):
     out = str(tmp_path)
     assert run(["scan", "--l1", "1", "--l2", "-1", "--rmin", "0.5",

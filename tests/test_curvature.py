@@ -6,7 +6,6 @@ import pytest
 import helfrich as hf
 from helfrich.curvature import (
     angle_defect_total,
-    bundle_with_laplacian,
     cotan_operator,
     curvature_bundle,
     laplace_field,
@@ -69,6 +68,17 @@ def test_tracefree_identity_after_clamp():
     assert np.allclose(b.tracefree_sq[i], np.maximum(raw, 0.0), atol=b.clamp_max + 1e-15)
     # clamp magnitude stays at discretization-noise scale relative to H^2/2
     assert b.clamp_max < 0.01 * np.nanmax(0.5 * b.mean_curvature**2)
+
+
+def test_tracefree_sq_is_clamped_raw():
+    for m in (hf.icosphere(2.0, 3), hf.catenoid_mesh(1.0, 2.0, (24, 16))):
+        b = curvature_bundle(m)
+        i = b.interior
+        assert np.array_equal(b.tracefree_sq[i], np.maximum(b.tracefree_raw[i], 0.0))
+        clamped = b.tracefree_raw[i] < 0.0
+        assert b.clamp_count == int(clamped.sum())
+        assert b.clamp_max == (np.abs(b.tracefree_raw[i][clamped]).max()
+                               if clamped.any() else 0.0)
 
 
 def test_clamp_statistics_reported():
@@ -142,7 +152,8 @@ def test_laplace_shape_mismatch():
 
 def test_fast_laplacian_matches_operator():
     m = hf.perturbed_sphere(1.0, 0.1, 3)
-    bundle, lap_fast = bundle_with_laplacian(m)
+    bundle = curvature_bundle(m)
+    lap_fast = bundle.laplace_mean_curvature
     op = cotan_operator(m)
     lap_op = laplace_field(op, bundle.mean_curvature)
     assert np.abs(lap_fast - lap_op).max() < 1e-10 * max(np.abs(lap_op).max(), 1.0)

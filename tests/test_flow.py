@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import helfrich as hf
+from helfrich import flow
+from helfrich.curvature import curvature_bundle
 from helfrich.energy import EnergyParams
-from helfrich.errors import FitError, UnsupportedError
+from helfrich.errors import FitError, OperatorError, UnsupportedError
 from helfrich.flow import FlowConfig, best_fit_sphere, flow_run
+from helfrich.variation import mesh_energy, residual_values
 
 
 def test_config_validation():
@@ -123,3 +126,50 @@ def test_trace_files(tmp_path):
     assert payload["result"]["verdict"] in ("converged", "max_iters",
                                             "degenerate_mesh")
     assert "wall_time_s" in payload["meta"]
+
+
+def test_residual_objective_uses_unclamped_tracefree():
+    mesh = hf.perturbed_sphere(2.0, 0.05, 2)
+    params = EnergyParams(0.0, 1.0, -1.0)
+    b = curvature_bundle(mesh)
+    assert b.clamp_count > 0       # the clamp would change the objective
+    r = residual_values(b.laplace_mean_curvature, b.mean_curvature,
+                        b.gauss_curvature, b.tracefree_raw, params)
+    expected = float((b.vertex_area * r * r).sum())
+    assert flow._residual_objective(mesh, params) == pytest.approx(expected, rel=1e-12)
+
+
+def test_topology_checked_once_per_run(monkeypatch):
+    calls = []
+    real = flow.validate
+    monkeypatch.setattr(flow, "validate", lambda m: calls.append(m) or real(m))
+    cfg = FlowConfig(mode="energy_descent", initial_step=0.05,
+                     max_iterations=5, log_every=1)
+    tr = flow_run(hf.perturbed_sphere(1.0, 0.05, 2), EnergyParams(), cfg)
+    assert tr.iterations == 5
+    assert len(calls) == 1
+
+
+def test_degenerate_trial_step_ends_run(monkeypatch):
+    """A trial step that collapses a face ends the run with the
+    degenerate_mesh verdict on the last accepted mesh."""
+    real = flow._EnergyEngine.objective
+    trials = []
+
+    def objective(self, mesh):
+        trials.append(mesh)
+        if len(trials) > 4:
+            raise OperatorError("degenerate face 0")
+        return real(self, mesh)
+
+    monkeypatch.setattr(flow._EnergyEngine, "objective", objective)
+    cfg = FlowConfig(mode="energy_descent", initial_step=0.05,
+                     max_iterations=50, log_every=1)
+    tr = flow_run(hf.perturbed_sphere(1.0, 0.05, 2), EnergyParams(), cfg)
+    assert tr.verdict == "degenerate_mesh"
+    assert "degenerate face" in tr.message
+    assert 0 < tr.iterations < 50
+    assert tr.final_mesh is not trials[-1]
+    last = tr.rows[-1]
+    assert last.iteration == tr.iterations and last.accepted
+    assert last.energy == mesh_energy(tr.final_mesh, EnergyParams())

@@ -51,8 +51,9 @@ def test_spontaneous_curvature_reduction_exact():
     assert np.array_equal(with_c0.values, bundle_based.values)
 
     # and against the explicit formula
-    from helfrich.curvature import bundle_with_laplacian
-    b, lapH = bundle_with_laplacian(m)
+    from helfrich.curvature import curvature_bundle
+    b = curvature_bundle(m)
+    lapH = b.laplace_mean_curvature
     manual = (lapH + b.mean_curvature * b.tracefree_sq
               - 2 * 1.2 * b.mean_curvature + 2 * 0.4)
     assert np.array_equal(with_c0.values, manual)
