@@ -86,12 +86,14 @@ class MeshDiagnostics:
     manifold: bool
     oriented: bool
     n_degenerate_faces: int
+    n_unreferenced_vertices: int
     min_face_area: float
     messages: list
 
     @property
     def ok(self):
-        return self.manifold and self.oriented and self.n_degenerate_faces == 0
+        return (self.manifold and self.oriented and self.n_degenerate_faces == 0
+                and self.n_unreferenced_vertices == 0)
 
 
 class TriangleMesh:
@@ -233,41 +235,34 @@ class TriangleMesh:
                 h = nxt
         return loops
 
+    def unreferenced_vertices(self):
+        """Indices of vertices that no face uses."""
+        return np.nonzero(np.bincount(self.he_origin, minlength=self.n_vertices) == 0)[0]
+
     def vertex_fans_manifold(self):
-        """True when every vertex's incident faces form a single fan."""
-        he_prev = self.he_face * 3 + (np.tile(np.arange(3), self.n_faces) + 2) % 3
-        out_of = [[] for _ in range(self.n_vertices)]
-        for h, v in enumerate(self.he_origin):
-            out_of[v].append(h)
-        for v, outs in enumerate(out_of):
-            if not outs:
-                continue
-            # Walk clockwise to a boundary (or full circle), then counter-
-            # clockwise, counting distinct outgoing half-edges reached.
-            start = outs[0]
-            seen = {start}
-            h = start
-            while True:
-                t = self.he_twin[h]
-                if t < 0:
-                    break
-                h = int(self.he_next[t])
-                if h in seen:
-                    break
-                seen.add(h)
-            if self.he_twin[h] < 0 or h != start:  # open fan: also walk the other way
-                h = start
-                while True:
-                    t = self.he_twin[he_prev[h]]
-                    if t < 0:
-                        break
-                    h = int(t)
-                    if h in seen:
-                        break
-                    seen.add(h)
-            if len(seen) != len(outs):
-                return False
-        return True
+        """True when every vertex's incident faces form a single fan.
+
+        ``h -> next[twin[h]]`` rotates an outgoing half-edge about its origin
+        and is injective (twin is an involution), so each connected component
+        of that graph, a cycle or a chain, is one fan of one vertex.
+        Components are labelled by their smallest half-edge, spreading the
+        minimum over windows that double each round; a round that changes no
+        label means every window already spans its component.
+        """
+        h = np.arange(3 * self.n_faces)
+        paired = self.he_twin >= 0
+        succ = h.copy()
+        succ[paired] = self.he_next[self.he_twin[paired]]
+        pred = h.copy()
+        pred[succ[paired]] = h[paired]
+        label = h
+        while True:
+            new = np.minimum(label, np.minimum(label[succ], label[pred]))
+            if np.array_equal(new, label):
+                break
+            label, succ, pred = new, succ[succ], pred[pred]
+        n_fans = np.count_nonzero(label == h)
+        return n_fans == self.n_vertices - len(self.unreferenced_vertices())
 
 
 def validate(mesh: TriangleMesh) -> MeshDiagnostics:
@@ -282,6 +277,9 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
     manifold = (not dup) and mesh.vertex_fans_manifold()
     if not manifold and not dup:
         messages.append("non-manifold vertex fan")
+    unreferenced = mesh.unreferenced_vertices()
+    if len(unreferenced):
+        messages.append(f"unreferenced vertices: {unreferenced[:10].tolist()}")
 
     areas = mesh.face_areas()
     diag2 = mesh.bbox_diagonal() ** 2
@@ -300,6 +298,7 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
         manifold=manifold,
         oriented=oriented,
         n_degenerate_faces=degenerate,
+        n_unreferenced_vertices=len(unreferenced),
         min_face_area=float(areas.min()) if len(areas) else 0.0,
         messages=messages,
     )
@@ -343,36 +342,29 @@ _ICO_FACES = np.array([
 ], dtype=np.int64)
 
 
-def _midpoint_subdivide(vertices, faces):
-    """Split each face into four using edge midpoints."""
-    mid = {}
-    verts = list(map(tuple, vertices))
-    new_faces = []
-
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        idx = mid.get(key)
-        if idx is None:
-            idx = len(verts)
-            p = 0.5 * (np.array(verts[a]) + np.array(verts[b]))
-            verts.append(tuple(p))
-            mid[key] = idx
-        return idx
-
-    for i, j, k in faces:
-        a = midpoint(i, j)
-        b = midpoint(j, k)
-        c = midpoint(k, i)
-        new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-    return np.array(verts), np.array(new_faces, dtype=np.int64)
-
-
 def _unit_icosphere(level):
     v, f = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0]), _ICO_FACES
     for _ in range(level):
-        v, f = _midpoint_subdivide(v, f)
+        mesh = TriangleMesh(v, f)
+        edge_he, f = _split_faces(mesh)
+        mid = 0.5 * (v[mesh.he_origin[edge_he]] + v[mesh._he_dest[edge_he]])
+        v = np.vstack([v, mid])
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v, f
+
+
+def _grid_faces(rows, cols, wrap):
+    """Two triangles per quad of a row-major ``rows x cols`` vertex grid.
+
+    Quad (i, j) is split along its (i, j)-(i+1, j+1) diagonal; with ``wrap``
+    the last row is also joined to the first.
+    """
+    i = np.arange(rows if wrap else rows - 1)[:, None]
+    j = np.arange(cols - 1)[None, :]
+    a = i * cols + j
+    b = (i + 1) % rows * cols + j
+    return np.stack(np.broadcast_arrays(a, b, b + 1, a, b + 1, a + 1),
+                    axis=-1).reshape(-1, 3)
 
 
 def make_primitive(spec: PrimitiveSpec) -> TriangleMesh:
@@ -395,18 +387,8 @@ def make_primitive(spec: PrimitiveSpec) -> TriangleMesh:
         uu, vv = np.meshgrid(u, v, indexing="ij")
         rad = c * np.cosh(vv / c)
         pts = np.stack([rad * np.cos(uu), rad * np.sin(uu), vv], axis=-1)
-        verts = pts.reshape(-1, 3)
-
-        def vid(i, j):
-            return (i % nu) * nv + j
-
-        faces = []
-        for i in range(nu):
-            for j in range(nv - 1):
-                a, b = vid(i, j), vid(i + 1, j)
-                c2, d = vid(i + 1, j + 1), vid(i, j + 1)
-                faces += [(a, b, c2), (a, c2, d)]
-        return TriangleMesh(verts, np.array(faces, dtype=np.int64), source=spec)
+        return TriangleMesh(pts.reshape(-1, 3), _grid_faces(nu, nv, wrap=True),
+                            source=spec)
 
     if spec.kind == "flat_patch":
         nx, ny = spec.grid
@@ -415,17 +397,7 @@ def make_primitive(spec: PrimitiveSpec) -> TriangleMesh:
         y = np.linspace(0.0, Ly, ny + 1)
         xx, yy = np.meshgrid(x, y, indexing="ij")
         verts = np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
-
-        def vid(i, j):
-            return i * (ny + 1) + j
-
-        faces = []
-        for i in range(nx):
-            for j in range(ny):
-                a, b = vid(i, j), vid(i + 1, j)
-                c2, d = vid(i + 1, j + 1), vid(i, j + 1)
-                faces += [(a, b, c2), (a, c2, d)]
-        return TriangleMesh(verts, np.array(faces, dtype=np.int64), source=spec)
+        return TriangleMesh(verts, _grid_faces(nx + 1, ny + 1, wrap=False), source=spec)
 
     raise ParameterError("kind", f"unhandled kind {spec.kind!r}")
 
@@ -450,6 +422,24 @@ def flat_patch(grid=(16, 16), extent=(1.0, 1.0)):
 
 # -- refinement ---------------------------------------------------------------
 
+def _split_faces(mesh: TriangleMesh):
+    """Midpoint 1->4 split of a closed mesh's faces.
+
+    Returns ``(edge_he, faces)``: one half-edge per edge, ordered by the
+    first half-edge ``3f + c`` that meets the edge, and the split faces, four
+    children per parent face in parent order.  Edge ``e``'s midpoint is
+    vertex ``V + e``.
+    """
+    h_idx = np.arange(3 * mesh.n_faces)
+    canon = np.minimum(h_idx, mesh.he_twin)           # canonical half-edge per edge
+    edge_he, edge_id = np.unique(canon, return_inverse=True)
+    m = mesh.n_vertices + edge_id.reshape(-1, 3)      # midpoint ids per face corner
+    i, j, k = mesh.faces.T
+    mij, mjk, mki = m.T
+    faces = np.stack([i, mij, mki, j, mjk, mij, k, mki, mjk, mij, mjk, mki], axis=1)
+    return edge_he, faces.reshape(-1, 3)
+
+
 def refine(mesh: TriangleMesh) -> TriangleMesh:
     """One Loop-subdivision step (closed meshes only); F quadruples.
 
@@ -459,15 +449,7 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
         raise UnsupportedError("refine supports closed meshes only")
 
     V = mesh.n_vertices
-    faces = mesh.faces
-    # Canonical edge per half-edge pair.
-    h_idx = np.arange(3 * mesh.n_faces)
-    canon = np.minimum(h_idx, mesh.he_twin)
-    edge_he = np.unique(canon)
-    edge_id_of = np.full(3 * mesh.n_faces, -1, dtype=np.int64)
-    edge_id_of[edge_he] = np.arange(len(edge_he))
-    edge_id_of[h_idx] = edge_id_of[canon]
-
+    edge_he, new_faces = _split_faces(mesh)
     a = mesh.he_origin[edge_he]
     b = mesh._he_dest[edge_he]
     he_prev = (edge_he // 3) * 3 + (edge_he % 3 + 2) % 3
@@ -486,15 +468,6 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     even_pts = (1.0 - valence * beta)[:, None] * mesh.vertices + beta[:, None] * nbr_sum
 
     new_verts = np.vstack([even_pts, edge_pts])
-    m = V + edge_id_of.reshape(-1, 3)                 # midpoint ids per face corner
-    i, j, k = faces[:, 0], faces[:, 1], faces[:, 2]
-    mij, mjk, mki = m[:, 0], m[:, 1], m[:, 2]
-    new_faces = np.concatenate([
-        np.stack([i, mij, mki], axis=1),
-        np.stack([j, mjk, mij], axis=1),
-        np.stack([k, mki, mjk], axis=1),
-        np.stack([mij, mjk, mki], axis=1),
-    ])
 
     source = mesh.source
     if source is not None and source.kind == "icosphere":
@@ -544,6 +517,9 @@ def load_mesh(path) -> TriangleMesh:
     if not (diag.manifold and diag.oriented):
         raise MeshInputError(f"non-manifold or inconsistently oriented input: "
                              f"{'; '.join(diag.messages)}")
+    if diag.n_unreferenced_vertices:
+        raise MeshInputError(f"vertex {int(mesh.unreferenced_vertices()[0])} (0-based) "
+                             f"is used by no face")
     return mesh
 
 
@@ -572,10 +548,13 @@ def _parse_obj(lines):
             if len(idx) != 3:
                 raise MeshInputError("non-triangular face", line=ln)
             try:
-                tri = tuple(int(t.split("/")[0]) - 1 for t in idx)
+                tri = tuple(int(t.split("/")[0]) for t in idx)
             except ValueError:
                 raise MeshInputError("bad face index", line=ln) from None
-            faces.append(tri)
+            if min(tri) <= 0:
+                raise MeshInputError(
+                    "relative (negative) or zero face indices are not supported", line=ln)
+            faces.append(tuple(t - 1 for t in tri))
         # other OBJ record types (vn, vt, o, s, usemtl, ...) are ignored
     return verts, faces
 
@@ -600,7 +579,10 @@ def _parse_off(lines):
         raise MeshInputError(f"expected {nv} vertices and {nf} faces", line=ln1)
     verts, faces = [], []
     for ln, s in body[:nv]:
-        verts.append(_parse_vertex(s.split()[:3], ln))
+        toks = s.split()
+        if len(toks) < 3:
+            raise MeshInputError("vertex needs 3 coordinates", line=ln)
+        verts.append(_parse_vertex(toks[:3], ln))
     for ln, s in body[nv:nv + nf]:
         toks = s.split()
         if not toks or toks[0] != "3":

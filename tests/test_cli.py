@@ -47,6 +47,17 @@ def test_non_finite_vertex_rejected(tmp_path, capsys, name, vertex_line):
     assert "non-finite vertex coordinate at line 5" in capsys.readouterr().err
 
 
+def test_unreferenced_vertex_rejected(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["mesh-make", "--kind", "icosphere", "--level", "1",
+                "--out", out, "--mesh-out", "ball.obj"]) == EXIT_OK
+    path = tmp_path / "ball.obj"
+    path.write_text(path.read_text() + "v 5 5 5\n")
+    capsys.readouterr()
+    assert run(["energy-eval", "--mesh", str(path), "--out", out]) == EXIT_BADINPUT
+    assert "vertex 42 (0-based) is used by no face" in capsys.readouterr().err
+
+
 def test_scan_finds_root(tmp_path):
     out = str(tmp_path)
     assert run(["scan", "--l1", "1", "--l2", "-1", "--rmin", "0.5",
