@@ -78,8 +78,8 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _geometry(surface, uu, vv, jet=None):
-    j = jet if jet is not None else surface.jet(uu, vv, order=2)
+def _geometry(surface, uu, vv):
+    j = surface.jet(uu, vv, order=2)
     fu, fv = j["fu"], j["fv"]
     E = _dot(fu, fu)
     F = _dot(fu, fv)

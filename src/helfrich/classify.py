@@ -11,8 +11,6 @@ than asserted.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +18,7 @@ from scipy.optimize import brentq
 
 from .energy import EnergyParams
 from .errors import ParameterError
+from .output import write_csv, write_json
 
 BRANCHES = {
     ("+", "-"): "lam1>0,lam2<0",
@@ -81,12 +80,8 @@ class ScanTable:
         return out
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["rho", "residual", "abs_residual", "sphere_energy"])
-            for rho, res, en in zip(self.rho, self.residual, self.energy):
-                w.writerow([repr(float(rho)), repr(float(res)),
-                            repr(abs(float(res))), repr(float(en))])
+        write_csv(path, ["rho", "residual", "abs_residual", "sphere_energy"],
+                  [self.rho, self.residual, np.abs(self.residual), self.energy])
 
 
 def radius_scan(params: EnergyParams, rho_min, rho_max, n) -> ScanTable:
@@ -200,6 +195,4 @@ def classify_case(params: EnergyParams, scan: ScanTable | None = None,
 
 
 def write_verdict_json(verdict: BranchVerdict, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"result": verdict.to_json_dict()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, verdict.to_json_dict())

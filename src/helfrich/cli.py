@@ -2,12 +2,13 @@
 
 Every subcommand writes a machine-readable JSON summary (stable key order,
 wall time quarantined in a separate "meta" block) alongside any CSV table,
-so identical configs and seeds produce byte-identical result payloads.
+both through ``output``, so identical configs and seeds produce
+byte-identical result payloads.
 Config files are JSON objects whose keys mirror the long flag names with
 underscores; explicit flags override file values, unknown keys are rejected.
 
-Exit codes: 0 success / all-pass, 1 numerical or acceptance failure,
-2 invalid input or config.
+Exit codes: 0 success / all-pass, 1 numerical or acceptance failure
+(including a non-finite summary value), 2 invalid input or config.
 """
 
 from __future__ import annotations
@@ -37,40 +38,12 @@ from .energy import EnergyParams, evaluate_energies
 from .errors import HelfrichError, MeshInputError, NumericalError, ParameterError
 from .flow import FlowConfig, flow_run
 from .mesh import PrimitiveSpec, load_mesh, make_primitive, save_mesh, validate
+from .output import write_csv, write_json
 from .variation import el_residual, gradient_check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BADINPUT = 2
-
-
-def _write_json(path, result, meta=None):
-    payload = {"result": result, "meta": meta or {}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows):
-    import csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _json_safe(x):
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, float) and not np.isfinite(x):
-        return None
-    return x
 
 
 # -- argument plumbing ----------------------------------------------------------
@@ -244,11 +217,11 @@ def _cmd_mesh_make(v):
     save_mesh(mesh, path)
     from .mesh import mesh_integrals
     d = validate(mesh)
-    _write_json(_out(v, "mesh_make_summary.json"), _json_safe({
+    write_json(_out(v, "mesh_make_summary.json"), {
         "file": v["mesh_out"], "n_vertices": mesh.n_vertices,
         "n_faces": mesh.n_faces, "euler_characteristic": d.euler_characteristic,
         "closed": d.closed, "boundary_loops": d.boundary_loops,
-        "valid": d.ok, "integrals": mesh_integrals(mesh)}))
+        "valid": d.ok, "integrals": mesh_integrals(mesh)})
     return EXIT_OK
 
 
@@ -258,7 +231,7 @@ def _cmd_energy_eval(v):
     if not hasattr(source, "vertices"):
         grid = QuadratureGrid.for_surface(source, v["quad_u"], v["quad_v"])
     report = evaluate_energies(source, _params(v), grid=grid)
-    _write_json(_out(v, "energy_summary.json"), _json_safe(report.to_json_dict()))
+    write_json(_out(v, "energy_summary.json"), report.to_json_dict())
     return EXIT_OK
 
 
@@ -271,39 +244,29 @@ def _cmd_residual(v):
     field.to_csv(_out(v, "residual.csv"))
     if hasattr(source, "vertices"):
         _write_bundle_csv(source, _out(v, "curvature_bundle.csv"))
-    _write_json(_out(v, "residual_summary.json"), _json_safe({
+    write_json(_out(v, "residual_summary.json"), {
         "l2": field.l2, "linf": field.linf, "rms": field.rms,
         "source": field.source_kind,
-        "interior_points": int(field.interior.sum())}))
+        "interior_points": int(field.interior.sum())})
     return EXIT_OK
 
 
 def _write_bundle_csv(mesh, path):
     from .curvature import curvature_bundle
     b = curvature_bundle(mesh)
-    rows = []
-    for i in range(mesh.n_vertices):
-        rows.append([
-            i, repr(float(b.vertex_area[i])),
-            repr(float(b.mean_curvature[i])),
-            repr(float(b.gauss_curvature[i])),
-            repr(float(b.tracefree_sq[i])),
-            int(b.interior[i]),
-            repr(float(b.normal[i, 0])), repr(float(b.normal[i, 1])),
-            repr(float(b.normal[i, 2]))])
-    _write_csv(path, ["vertex", "area", "mean_curvature", "gauss_curvature",
-                      "tracefree_sq", "interior", "nx", "ny", "nz"], rows)
+    write_csv(path, ["vertex", "area", "mean_curvature", "gauss_curvature",
+                     "tracefree_sq", "interior", "nx", "ny", "nz"],
+              [np.arange(mesh.n_vertices), b.vertex_area, b.mean_curvature,
+               b.gauss_curvature, b.tracefree_sq, b.interior, *b.normal.T])
 
 
 def _cmd_gradient_check(v):
     mesh = make_primitive(_primitive_spec(v))
     rep = gradient_check(mesh, _params(v), n_fields=v["n_fields"], seed=v["seed"])
-    _write_csv(_out(v, "gradient_check.csv"),
-               ["field", "area_rel", "volume_rel", "full_rel"],
-               [[r["field"], repr(r["area_rel"]), repr(r["volume_rel"]),
-                 repr(r["full_rel"])] for r in rep.per_field])
-    _write_json(_out(v, "gradient_check_summary.json"),
-                _json_safe(rep.to_json_dict()))
+    header = ["field", "area_rel", "volume_rel", "full_rel"]
+    write_csv(_out(v, "gradient_check.csv"), header,
+              [[r[k] for r in rep.per_field] for k in header])
+    write_json(_out(v, "gradient_check_summary.json"), rep.to_json_dict())
     return EXIT_OK
 
 
@@ -319,60 +282,58 @@ def _variation_fields(seed):
 
 
 def _cmd_variation_check(v):
-    surf = _surface(v) if v.get("surface") else sphere(v.get("radius", 1.0))
+    surf = _surface(v)
     params = _params(v)
-    rows_out = []
+    fields = _variation_fields(v["seed"])
+    rows = []
     worst = 0.0
-    for fld in _variation_fields(v["seed"]):
+    for fld in fields:
         rep = variation_check(surf, params, fld, h=v["step"])
         worst = max(worst, rep.max_rel_error())
-        for name, row in rep.rows.items():
-            rows_out.append([fld.name, name, repr(row.formula),
-                             repr(row.fd_richardson), repr(row.rel_error)])
-    _write_csv(_out(v, "variation_check.csv"),
-               ["field", "functional", "formula", "fd_richardson", "rel_error"],
-               rows_out)
-    _write_json(_out(v, "variation_check_summary.json"), _json_safe({
+        rows += [(fld.name, name, row.formula, row.fd_richardson, row.rel_error)
+                 for name, row in rep.rows.items()]
+    write_csv(_out(v, "variation_check.csv"),
+              ["field", "functional", "formula", "fd_richardson", "rel_error"],
+              zip(*rows))
+    write_json(_out(v, "variation_check_summary.json"), {
         "surface": surf.name, "max_rel_error": worst,
-        "n_fields": len(_variation_fields(v["seed"])), "step": v["step"]}))
+        "n_fields": len(fields), "step": v["step"]})
     return EXIT_OK if worst <= 1e-6 else EXIT_FAIL
 
 
 def _cmd_identity_check(v):
     rng = np.random.default_rng(v["seed"])
     rep = identity_check(principal_pairs=rng.uniform(-3, 3, (v["samples"], 2)))
-    _write_json(_out(v, "identity_check_summary.json"), _json_safe({
+    write_json(_out(v, "identity_check_summary.json"), {
         "n_principal_samples": rep.n_principal_samples,
         "max_cubic_identity_dev": rep.max_cubic_identity_dev,
         "max_gauss_relation_dev": rep.max_gauss_relation_dev,
         "max_tracefree_relation_dev": rep.max_tracefree_relation_dev,
         "max_codazzi_gradient_dev": rep.max_codazzi_gradient_dev,
-        "surfaces": rep.surfaces_checked}))
+        "surfaces": rep.surfaces_checked})
     return EXIT_OK if rep.max_deviation <= 1e-10 else EXIT_FAIL
 
 
 def _cmd_estimate_report(v):
-    surf = _surface(v) if v.get("surface") else sphere(v.get("radius", 1.0))
+    surf = _surface(v)
     center = (v["center_x"], v["center_y"], v["center_z"])
     rep = estimate_report(surf, _params(v), cutoff=(center, v["cutoff_radius"]))
-    _write_csv(_out(v, "estimate_report.csv"),
-               ["term", "value", "error_estimate"],
-               [[k, repr(val), repr(rep.error_estimates[k])]
-                for k, val in rep.terms.items()])
-    _write_json(_out(v, "estimate_report_summary.json"), _json_safe({
-        "surface": rep.surface, "center": list(rep.center),
+    write_csv(_out(v, "estimate_report.csv"), ["term", "value", "error_estimate"],
+              zip(*((k, val, rep.error_estimates[k]) for k, val in rep.terms.items())))
+    write_json(_out(v, "estimate_report_summary.json"), {
+        "surface": rep.surface, "center": rep.center,
         "radius": rep.radius, "c_gamma": rep.c_gamma,
-        "terms": rep.terms, "note": rep.note}))
+        "terms": rep.terms, "note": rep.note})
     return EXIT_OK
 
 
 def _cmd_scan(v):
     table = radius_scan(_params(v), v["rmin"], v["rmax"], v["n"])
     table.write_csv(_out(v, "scan.csv"))
-    _write_json(_out(v, "scan_summary.json"), _json_safe({
+    write_json(_out(v, "scan_summary.json"), {
         "lam1": v["l1"], "lam2": v["l2"],
         "rho_range": [v["rmin"], v["rmax"]], "n": v["n"],
-        "roots": table.roots(), "min_abs_residual": table.min_abs_residual}))
+        "roots": table.roots(), "min_abs_residual": table.min_abs_residual})
     return EXIT_OK
 
 
@@ -410,10 +371,10 @@ def _cmd_verify(v):
         mark = "PASS" if r.passed else "FAIL"
         all_pass &= r.passed
         print(f"[{mark}] {r.id} {r.name}: {r.detail} ({r.elapsed:.1f}s)")
-    _write_json(_out(v, "verify_summary.json"), _json_safe({
+    write_json(_out(v, "verify_summary.json"), {
         "all_pass": all_pass,
         "criteria": [{"id": r.id, "name": r.name, "passed": r.passed,
-                      "detail": r.detail} for r in results]}),
+                      "detail": r.detail} for r in results]},
         meta={"elapsed_s": {r.id: r.elapsed for r in results}})
     return EXIT_OK if all_pass else EXIT_FAIL
 

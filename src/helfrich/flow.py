@@ -20,8 +20,6 @@ clamped-residual norms.
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import dataclass
 
@@ -34,7 +32,9 @@ from .curvature import _face_data  # noqa: F401
 from .energy import EnergyParams
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
 from .mesh import TriangleMesh, mesh_integrals, validate
-from .variation import el_residual, energy_gradient, mesh_energy, residual_values
+from .output import write_csv, write_json
+from .variation import (FD_STEP_REL, el_residual, energy_gradient, mesh_energy,
+                        residual_values)
 
 MODES = ("energy_descent", "residual_descent")
 VERDICTS = ("converged", "max_iters", "degenerate_mesh")
@@ -50,7 +50,6 @@ class FlowConfig:
     grad_tol: float = 1e-10
     step_tol: float = 1e-14      # on the attempted displacement
     log_every: int = 1
-    fd_step_rel: float = 1e-5    # residual-Jacobian FD step, of bbox diagonal
 
     def validate(self):
         if self.mode not in MODES:
@@ -67,8 +66,6 @@ class FlowConfig:
             raise ValueError("tolerances must be >= 0")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
-        if not self.fd_step_rel > 0:
-            raise ValueError("fd_step_rel must be > 0")
 
 
 @dataclass
@@ -90,15 +87,6 @@ class FlowRow:
                   "residual_l2", "residual_linf", "step_size", "accepted",
                   "fit_cx", "fit_cy", "fit_cz", "fit_radius", "fit_rms")
 
-    def csv_row(self):
-        return [self.iteration, repr(self.objective), repr(self.energy),
-                repr(self.area), repr(self.volume), repr(self.residual_l2),
-                repr(self.residual_linf), repr(self.step_size),
-                int(self.accepted),
-                repr(self.fit_center[0]), repr(self.fit_center[1]),
-                repr(self.fit_center[2]), repr(self.fit_radius),
-                repr(self.fit_rms)]
-
 
 @dataclass
 class FlowTrace:
@@ -112,11 +100,10 @@ class FlowTrace:
     message: str = ""
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(FlowRow.CSV_FIELDS)
-            for row in self.rows:
-                w.writerow(row.csv_row())
+        write_csv(path, FlowRow.CSV_FIELDS, zip(*(
+            (r.iteration, r.objective, r.energy, r.area, r.volume, r.residual_l2,
+             r.residual_linf, r.step_size, r.accepted, *r.fit_center,
+             r.fit_radius, r.fit_rms) for r in self.rows)))
 
     def summary_dict(self):
         last = self.rows[-1]
@@ -135,11 +122,7 @@ class FlowTrace:
         }
 
     def write_json(self, path):
-        payload = {"result": self.summary_dict(),
-                   "meta": {"wall_time_s": self.wall_time}}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary_dict(), {"wall_time_s": self.wall_time})
 
 
 def _weighted_residual(bundle, params):
@@ -158,9 +141,8 @@ def _residual_objective(mesh, params):
 class _ResidualEngine:
     """Damped Gauss-Newton steps on the squared-residual objective."""
 
-    def __init__(self, params, config):
+    def __init__(self, params):
         self.params = params
-        self.config = config
         self.mu = 1e-3
 
     def objective(self, mesh):
@@ -175,7 +157,7 @@ class _ResidualEngine:
         rho0 = _weighted_residual(bundle, self.params)
         normals = bundle.normal
         V = mesh.n_vertices
-        h = self.config.fd_step_rel * mesh.bbox_diagonal()
+        h = FD_STEP_REL * mesh.bbox_diagonal()
         base = mesh.vertices
         J = np.empty((V, V))
         for j in range(V):
@@ -202,9 +184,8 @@ class _ResidualEngine:
 class _EnergyEngine:
     """Steepest descent with the assembled normal gradient."""
 
-    def __init__(self, params, config):
+    def __init__(self, params):
         self.params = params
-        self.config = config
 
     def objective(self, mesh):
         return mesh_energy(mesh, self.params)
@@ -235,7 +216,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
         raise UnsupportedError("flow_run needs a validated mesh")
 
     engine = (_ResidualEngine if config.mode == "residual_descent"
-              else _EnergyEngine)(params, config)
+              else _EnergyEngine)(params)
 
     t0 = time.perf_counter()
     rows = []

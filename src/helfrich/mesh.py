@@ -96,6 +96,16 @@ class MeshDiagnostics:
                 and self.n_unreferenced_vertices == 0)
 
 
+def _read_only(a, dtype):
+    """``a`` as a read-only array: shared when it already is one, else a
+    frozen copy, so that the caller's own array stays writeable."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 class TriangleMesh:
     """Half-edge triangle mesh over numpy arrays.
 
@@ -105,16 +115,14 @@ class TriangleMesh:
     """
 
     def __init__(self, vertices, faces, source: PrimitiveSpec | None = None):
-        vertices = np.asarray(vertices, dtype=np.float64)
-        faces = np.asarray(faces, dtype=np.int64)
+        vertices = _read_only(vertices, np.float64)
+        faces = _read_only(faces, np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError(f"vertices must be (V, 3), got {vertices.shape}")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValueError(f"faces must be (F, 3), got {faces.shape}")
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
             raise ValueError("face indices out of range")
-        vertices.flags.writeable = False
-        faces.flags.writeable = False
         self.vertices = vertices
         self.faces = faces
         self.source = source
@@ -168,11 +176,9 @@ class TriangleMesh:
 
     def with_positions(self, vertices):
         """New mesh sharing this connectivity with replaced positions."""
-        vertices = np.asarray(vertices, dtype=np.float64)
+        vertices = _read_only(vertices, np.float64)
         if vertices.shape != self.vertices.shape:
             raise ValueError("positions shape mismatch")
-        vertices = vertices.copy()
-        vertices.flags.writeable = False
         # Shallow copy: every attribute but the positions is connectivity (or
         # the source spec) and is shared, so nothing derived from positions
         # may be stored on the instance.
@@ -484,14 +490,15 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
 def save_mesh(mesh: TriangleMesh, path):
     """Write OBJ or OFF (by extension) with 17-significant-digit positions."""
     path = str(path)
+    verts, faces = mesh.vertices.tolist(), mesh.faces.tolist()
     if path.lower().endswith(".obj"):
-        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-        lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces]
+        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
+        lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in faces]
         text = "\n".join(lines) + "\n"
     elif path.lower().endswith(".off"):
         lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}"]
-        lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
-        lines += [f"3 {i} {j} {k}" for i, j, k in mesh.faces]
+        lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
+        lines += [f"3 {i} {j} {k}" for i, j, k in faces]
         text = "\n".join(lines) + "\n"
     else:
         raise MeshInputError(f"unsupported mesh extension for {path!r}")

@@ -12,7 +12,6 @@ cross-check.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,9 @@ import numpy as np
 from .analytic import ParametricSurface, QuadratureGrid
 from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
-from .errors import UndefinedFunctionalError, UnsupportedError
+from .errors import MeshInputError, UndefinedFunctionalError, UnsupportedError
 from .mesh import TriangleMesh
+from .output import write_csv
 
 FD_STEP_REL = 1e-5      # of the bounding-box diagonal
 
@@ -52,13 +52,8 @@ class ResidualField:
         return float(np.sqrt((self.values[m] ** 2 * self.areas[m]).sum() / total))
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["vertex", "residual", "area", "interior"])
-            for i, (val, a, flag) in enumerate(
-                    zip(self.values, self.areas, self.interior)):
-                w.writerow([i, repr(float(val)) if np.isfinite(val) else "nan",
-                            repr(float(a)), int(flag)])
+        write_csv(path, ["vertex", "residual", "area", "interior"],
+                  [np.arange(len(self.values)), self.values, self.areas, self.interior])
 
 
 def residual_values(lap_H, H, K, tracefree_sq, params: EnergyParams):
@@ -83,6 +78,9 @@ def _mesh_residual(mesh, bundle, params) -> ResidualField:
     vals = residual_values(bundle.laplace_mean_curvature, bundle.mean_curvature,
                            bundle.gauss_curvature, bundle.tracefree_sq, params)
     mask = _stencil_interior(mesh, bundle.interior)
+    if not mask.any():
+        raise MeshInputError("no interior vertex: every vertex is on the boundary "
+                             "or next to it, so the residual is undefined")
     return ResidualField(values=vals, areas=bundle.vertex_area,
                          interior=mask, source_kind="mesh")
 

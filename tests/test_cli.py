@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from helfrich.cli import EXIT_BADINPUT, EXIT_OK, run_command
+from helfrich.cli import EXIT_BADINPUT, EXIT_FAIL, EXIT_OK, SUBCOMMANDS, run_command
 
 
 def run(argv):
@@ -174,3 +175,64 @@ def test_verify_subset(tmp_path):
     payload = json.loads((tmp_path / "verify_summary.json").read_text())
     assert payload["result"]["all_pass"] is True
     assert [c["id"] for c in payload["result"]["criteria"]] == ["c2", "c4"]
+
+
+SMALL_RUNS = {
+    "mesh-make": ["--kind", "icosphere", "--level", "1"],
+    "energy-eval": ["--kind", "icosphere", "--level", "1", "--l1", "1", "--l2", "-1"],
+    "residual": ["--kind", "icosphere", "--level", "1"],
+    "gradient-check": ["--kind", "icosphere", "--level", "1", "--n-fields", "2"],
+    "variation-check": ["--surface", "torus", "--quad-u", "16", "--quad-v", "16"],
+    "identity-check": ["--samples", "10"],
+    "estimate-report": ["--radius", "2", "--l1", "1", "--l2", "-1"],
+    "scan": ["--l1", "1", "--l2", "-1", "--n", "10"],
+    "classify": ["--l1", "1", "--l2", "-1", "--n", "50"],
+    "flow": ["--kind", "icosphere", "--level", "1", "--max-iterations", "2"],
+    "verify": ["--only", "c4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_summary_is_meta_and_result(tmp_path, command):
+    assert set(SMALL_RUNS) == set(SUBCOMMANDS)
+    assert run([command, *SMALL_RUNS[command], "--out", str(tmp_path)]) == EXIT_OK
+    summaries = list(tmp_path.glob("*_summary.json"))
+    assert len(summaries) == 1
+    assert set(json.loads(summaries[0].read_text())) == {"meta", "result"}
+    if command == "flow":
+        rows = (tmp_path / "flow_trace.csv").read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            [float(cell) for cell in row.split(",")]
+
+
+def test_non_finite_result_exits_1(tmp_path, monkeypatch, capsys):
+    import helfrich.cli as cli
+    from helfrich.energy import evaluate_energies
+
+    def nan_energy(source, params, grid=None):
+        report = evaluate_energies(source, params, grid=grid)
+        report.willmore = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "evaluate_energies", nan_energy)
+    code = run(["energy-eval", "--kind", "icosphere", "--level", "1",
+                "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert "ok" not in out
+    assert "result.willmore is nan" in err
+    assert not (tmp_path / "energy_summary.json").exists()
+
+
+def test_scan_csv_bytes_pinned(tmp_path):
+    assert run(["scan", "--l1", "1", "--l2", "-1", "--out", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest()
+    assert digest == "17d12ebb48e9824d78a151450c17684e842c8a8cc5a9d1f65c78e7fd696776ba"
+
+
+def test_residual_without_interior_vertex(tmp_path, capsys):
+    code = run(["residual", "--kind", "flat_patch", "--grid-u", "1", "--grid-v", "1",
+                "--out", str(tmp_path)])
+    assert code == EXIT_BADINPUT
+    assert "no interior vertex" in capsys.readouterr().err

@@ -357,3 +357,19 @@ def test_vertices_immutable():
     m = hf.icosphere(1.0, 2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 99.0
+
+
+def test_mesh_leaves_caller_arrays_writeable():
+    from helfrich import mesh
+    hf.icosphere(1.0, 0)
+    hf.icosphere(1.0, 1)
+    assert mesh._ICO_FACES.flags.writeable
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    f = np.array([[0, 1, 2]])
+    m = hf.TriangleMesh(v, f)
+    v[0, 0] = 2.0
+    f[0, 0] = 1
+    assert m.vertices[0, 0] == 0.0 and m.faces[0, 0] == 0
+    for frozen in (m.vertices, m.faces):
+        with pytest.raises(ValueError):
+            frozen[0, 0] = 1
