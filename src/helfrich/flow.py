@@ -107,6 +107,9 @@ class FlowTrace:
 
     def summary_dict(self):
         last = self.rows[-1]
+        # A NaN fit marks a plane candidate (best_fit_sphere raised FitError):
+        # a quantity the endpoint does not define, so the summary writes null.
+        fitted = not np.isnan(last.fit_radius)
         return {
             "verdict": self.verdict,
             "iterations": self.iterations,
@@ -116,9 +119,9 @@ class FlowTrace:
             "final_area": last.area,
             "final_volume": last.volume,
             "final_residual_l2": last.residual_l2,
-            "fit_center": list(last.fit_center),
-            "fit_radius": last.fit_radius,
-            "fit_rms": last.fit_rms,
+            "fit_center": list(last.fit_center) if fitted else None,
+            "fit_radius": last.fit_radius if fitted else None,
+            "fit_rms": last.fit_rms if fitted else None,
         }
 
     def write_json(self, path):

@@ -96,16 +96,6 @@ class MeshDiagnostics:
                 and self.n_unreferenced_vertices == 0)
 
 
-def _read_only(a, dtype):
-    """``a`` as a read-only array: shared when it already is one, else a
-    frozen copy, so that the caller's own array stays writeable."""
-    a = np.asarray(a, dtype=dtype)
-    if a.flags.writeable:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
-
-
 class TriangleMesh:
     """Half-edge triangle mesh over numpy arrays.
 
@@ -115,8 +105,10 @@ class TriangleMesh:
     """
 
     def __init__(self, vertices, faces, source: PrimitiveSpec | None = None):
-        vertices = _read_only(vertices, np.float64)
-        faces = _read_only(faces, np.int64)
+        # Frozen copies, so the caller's own arrays stay writeable.
+        vertices = np.array(vertices, dtype=np.float64)
+        faces = np.array(faces, dtype=np.int64)
+        vertices.flags.writeable = faces.flags.writeable = False
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError(f"vertices must be (V, 3), got {vertices.shape}")
         if faces.ndim != 2 or faces.shape[1] != 3:
@@ -176,7 +168,8 @@ class TriangleMesh:
 
     def with_positions(self, vertices):
         """New mesh sharing this connectivity with replaced positions."""
-        vertices = _read_only(vertices, np.float64)
+        vertices = np.array(vertices, dtype=np.float64)
+        vertices.flags.writeable = False
         if vertices.shape != self.vertices.shape:
             raise ValueError("positions shape mismatch")
         # Shallow copy: every attribute but the positions is connectivity (or

@@ -225,6 +225,23 @@ def test_non_finite_result_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "energy_summary.json").exists()
 
 
+def test_flow_plane_candidate_fit_writes_null(tmp_path, monkeypatch, capsys):
+    import helfrich.flow as flow
+    from helfrich.errors import FitError
+
+    def no_fit(source):
+        raise FitError("points are coplanar (plane candidate)")
+
+    monkeypatch.setattr(flow, "best_fit_sphere", no_fit)
+    assert run(["flow", "--kind", "icosphere", "--level", "1",
+                "--max-iterations", "2", "--out", str(tmp_path)]) == EXIT_OK
+    assert "ok" in capsys.readouterr().out
+    result = json.loads((tmp_path / "flow_summary.json").read_text())["result"]
+    assert result["fit_center"] is result["fit_radius"] is result["fit_rms"] is None
+    rows = (tmp_path / "flow_trace.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith("nan,nan,nan,nan,nan") for row in rows)
+
+
 def test_scan_csv_bytes_pinned(tmp_path):
     assert run(["scan", "--l1", "1", "--l2", "-1", "--out", str(tmp_path)]) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest()
