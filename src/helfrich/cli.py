@@ -34,12 +34,13 @@ from .analytic import (
     variation_check,
 )
 from .classify import classify_case, radius_scan, write_verdict_json
+from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
 from .errors import HelfrichError, MeshInputError, NumericalError, ParameterError
 from .flow import FlowConfig, flow_run
 from .mesh import PrimitiveSpec, load_mesh, make_primitive, save_mesh, validate
 from .output import write_csv, write_json
-from .variation import el_residual, gradient_check
+from .variation import _mesh_residual, el_residual, gradient_check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -237,13 +238,14 @@ def _cmd_energy_eval(v):
 
 def _cmd_residual(v):
     source = _source(v)
-    grid = None
-    if not hasattr(source, "vertices"):
-        grid = QuadratureGrid.for_surface(source, v["quad_u"], v["quad_v"])
-    field = el_residual(source, _params(v), grid=grid)
-    field.to_csv(_out(v, "residual.csv"))
     if hasattr(source, "vertices"):
-        _write_bundle_csv(source, _out(v, "curvature_bundle.csv"))
+        bundle = curvature_bundle(source)       # one pass for both tables
+        field = _mesh_residual(source, bundle, _params(v))
+        _write_bundle_csv(source, bundle, _out(v, "curvature_bundle.csv"))
+    else:
+        grid = QuadratureGrid.for_surface(source, v["quad_u"], v["quad_v"])
+        field = el_residual(source, _params(v), grid=grid)
+    field.to_csv(_out(v, "residual.csv"))
     write_json(_out(v, "residual_summary.json"), {
         "l2": field.l2, "linf": field.linf, "rms": field.rms,
         "source": field.source_kind,
@@ -251,9 +253,7 @@ def _cmd_residual(v):
     return EXIT_OK
 
 
-def _write_bundle_csv(mesh, path):
-    from .curvature import curvature_bundle
-    b = curvature_bundle(mesh)
+def _write_bundle_csv(mesh, b, path):
     write_csv(path, ["vertex", "area", "mean_curvature", "gauss_curvature",
                      "tracefree_sq", "interior", "nx", "ny", "nz"],
               [np.arange(mesh.n_vertices), b.vertex_area, b.mean_curvature,

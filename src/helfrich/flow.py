@@ -16,14 +16,26 @@ backtracking on the true objective guards every step.  Inside the optimizer
 the tracefree term uses the raw value H^2/2 - 2K without the reporting
 clamp, which keeps the objective smooth; trace rows still report the
 clamped-residual norms.
+
+The residual at a vertex reads positions in its 2-ring only, so the Jacobian
+is sparse and is built compressed (Curtis, Powell & Reid 1974; Coleman &
+More 1983): vertices more than 4 edges apart never touch the same residual
+entry, so a greedy distance-4 coloring, computed once per flow since
+connectivity never changes, lets every vertex of one color move in the same
+pair of residual evaluations.  A step costs 2 x colors evaluations (34 colors
+on the level-2 icosphere, 39 from level 3 on) instead of 2V, and its damped
+normal equations are solved by a sparse LU factorization.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .curvature import curvature_bundle
 # Not used here: bound so that the benchmark tracer, which wraps every module
@@ -98,6 +110,7 @@ class FlowTrace:
     config: FlowConfig
     params: EnergyParams
     message: str = ""
+    meta: dict = dataclasses.field(default_factory=dict)   # run counters
 
     def write_csv(self, path):
         write_csv(path, FlowRow.CSV_FIELDS, zip(*(
@@ -125,7 +138,8 @@ class FlowTrace:
         }
 
     def write_json(self, path):
-        write_json(path, self.summary_dict(), {"wall_time_s": self.wall_time})
+        write_json(path, self.summary_dict(),
+                   {"wall_time_s": self.wall_time, **self.meta})
 
 
 def _weighted_residual(bundle, params):
@@ -141,39 +155,88 @@ def _residual_objective(mesh, params):
     return float(rho @ rho)
 
 
+def _jacobian_coloring(mesh):
+    """2-ring sparsity of the residual Jacobian and a distance-4 coloring.
+
+    Column j of J is supported on j's 2-ring, the pattern of (A + I)^2 with
+    A the vertex adjacency; that pattern is symmetric on a closed mesh, so
+    its CSR arrays are also J's CSC arrays.  Vertices that share no entry of
+    (A + I)^4 have disjoint columns and take one color, assigned greedily in
+    vertex order.  Returns (indptr, indices, colors).
+    """
+    V = mesh.n_vertices
+    adjacency = sp.csr_matrix(
+        (np.ones(len(mesh.he_origin)), (mesh.he_origin, mesh._he_dest)),
+        shape=(V, V))
+    ring1 = adjacency + sp.identity(V, format="csr")
+    ring2 = ring1 @ ring1
+    ring2.sort_indices()
+    ring4 = ring2 @ ring2
+    indptr, indices = ring4.indptr.tolist(), ring4.indices.tolist()
+    colors = [-1] * V
+    for v in range(V):
+        taken = {colors[u] for u in indices[indptr[v]:indptr[v + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return ring2.indptr, ring2.indices, np.array(colors)
+
+
 class _ResidualEngine:
     """Damped Gauss-Newton steps on the squared-residual objective."""
 
-    def __init__(self, params):
+    def __init__(self, params, mesh):
         self.params = params
         self.mu = 1e-3
+        self.evaluations = 0
+        self.indptr, self.indices, colors = _jacobian_coloring(mesh)
+        self.members = [np.flatnonzero(colors == c)
+                        for c in range(int(colors.max()) + 1)]
+        # Color of the column each stored entry of J belongs to.
+        self.entry_color = np.repeat(colors, np.diff(self.indptr))
+
+    def _rho(self, bundle):
+        self.evaluations += 1
+        return _weighted_residual(bundle, self.params)
 
     def objective(self, mesh):
+        self.evaluations += 1
         return _residual_objective(mesh, self.params)
 
-    def direction(self, mesh):
-        def rho(positions):
-            bundle = curvature_bundle(mesh.with_positions(positions))
-            return _weighted_residual(bundle, self.params)
-
-        bundle = curvature_bundle(mesh)
-        rho0 = _weighted_residual(bundle, self.params)
-        normals = bundle.normal
-        V = mesh.n_vertices
+    def jacobian(self, mesh, normals):
+        """Central differences of the weighted residual along the vertex
+        normals, every vertex of one color perturbed in the same pair of
+        evaluations; a sparse (V, V) CSC matrix."""
         h = FD_STEP_REL * mesh.bbox_diagonal()
         base = mesh.vertices
-        J = np.empty((V, V))
-        for j in range(V):
-            step = h * normals[j]
+        diff = np.empty((len(self.members), mesh.n_vertices))
+        for c, members in enumerate(self.members):
+            step = h * normals[members]
             plus = base.copy()
-            plus[j] += step
+            plus[members] += step
             minus = base.copy()
-            minus[j] -= step
-            J[:, j] = (rho(plus) - rho(minus)) / (2.0 * h)
-        g = 2.0 * (J.T @ rho0)
+            minus[members] -= step
+            diff[c] = (self._rho(curvature_bundle(mesh.with_positions(plus)))
+                       - self._rho(curvature_bundle(mesh.with_positions(minus)))
+                       ) / (2.0 * h)
+        return sp.csc_matrix((diff[self.entry_color, self.indices],
+                              self.indices, self.indptr),
+                             shape=(mesh.n_vertices, mesh.n_vertices))
+
+    def direction(self, mesh):
+        bundle = curvature_bundle(mesh)
+        rho0 = self._rho(bundle)
+        normals = bundle.normal
+        J = self.jacobian(mesh, normals)
+        Jt_rho = J.T @ rho0
+        g = 2.0 * Jt_rho
         JtJ = J.T @ J
-        damp = self.mu * np.maximum(np.diag(JtJ), 1e-30)
-        coeff = np.linalg.solve(JtJ + np.diag(damp), -(J.T @ rho0))
+        damp = self.mu * np.maximum(JtJ.diagonal(), 1e-30)
+        # Symmetric positive definite: symmetric ordering, no pivoting.
+        lu = splu((JtJ + sp.diags(damp)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        coeff = lu.solve(-Jt_rho)
         slope = -float(g @ coeff)
         if slope <= 0.0:          # fall back to plain steepest descent
             coeff = -g
@@ -183,23 +246,32 @@ class _ResidualEngine:
     def feedback(self, backtracks):
         self.mu = min(self.mu * 3.0, 1e8) if backtracks else max(self.mu * 0.3, 1e-12)
 
+    def counters(self):
+        return {"residual_evaluations": self.evaluations,
+                "jacobian_colors": len(self.members)}
+
 
 class _EnergyEngine:
     """Steepest descent with the assembled normal gradient."""
 
     def __init__(self, params):
         self.params = params
+        self.evaluations = 0
 
     def objective(self, mesh):
         return mesh_energy(mesh, self.params)
 
     def direction(self, mesh):
+        self.evaluations += 1     # the assembled gradient is one residual
         G = energy_gradient(mesh, self.params, method="assembled")
         slope = float((G * G).sum())
         return -G, slope, float(np.sqrt(slope))
 
     def feedback(self, backtracks):
         pass
+
+    def counters(self):
+        return {"residual_evaluations": self.evaluations}
 
 
 def flow_run(mesh: TriangleMesh, params: EnergyParams,
@@ -218,8 +290,8 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     if not validate(mesh).ok:
         raise UnsupportedError("flow_run needs a validated mesh")
 
-    engine = (_ResidualEngine if config.mode == "residual_descent"
-              else _EnergyEngine)(params)
+    engine = (_ResidualEngine(params, mesh) if config.mode == "residual_descent"
+              else _EnergyEngine(params))
 
     t0 = time.perf_counter()
     rows = []
@@ -292,9 +364,11 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
 
     if not rows or rows[-1].iteration != it:
         record(mesh, it, obj, 0.0, False)
+    meta = engine.counters()
+    meta["residual_evaluations"] += len(rows)      # one el_residual per row
     return FlowTrace(verdict=verdict, iterations=it, rows=rows,
                      final_mesh=mesh, wall_time=time.perf_counter() - t0,
-                     config=config, params=params, message=message)
+                     config=config, params=params, message=message, meta=meta)
 
 
 def best_fit_sphere(source):

@@ -512,6 +512,8 @@ def load_mesh(path) -> TriangleMesh:
         raise MeshInputError(f"unsupported mesh extension for {path!r}")
     if not verts:
         raise MeshInputError("no vertices parsed (empty or invalid file)", line=1)
+    if not faces:
+        raise MeshInputError("no faces parsed")
     mesh = TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
     diag = validate(mesh)
     if not (diag.manifold and diag.oriented):
@@ -533,8 +535,13 @@ def _parse_vertex(tokens, ln):
     return point
 
 
+def _out_of_range(index, n_vertices, ln):
+    return MeshInputError(f"face index {index} out of range ({n_vertices} vertices)",
+                          line=ln)
+
+
 def _parse_obj(lines):
-    verts, faces = [], []
+    verts, faces, face_lines = [], [], []
     for ln, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -555,7 +562,12 @@ def _parse_obj(lines):
                 raise MeshInputError(
                     "relative (negative) or zero face indices are not supported", line=ln)
             faces.append(tuple(t - 1 for t in tri))
+            face_lines.append(ln)
         # other OBJ record types (vn, vt, o, s, usemtl, ...) are ignored
+    # A face may precede the vertices it uses, so indices are checked last.
+    for ln, tri in zip(face_lines, faces):
+        if max(tri) >= len(verts):
+            raise _out_of_range(max(tri) + 1, len(verts), ln)
     return verts, faces
 
 
@@ -574,6 +586,8 @@ def _parse_off(lines):
         nv, nf = int(counts.split()[0]), int(counts.split()[1])
     except (ValueError, IndexError):
         raise MeshInputError("bad OFF counts line", line=ln1) from None
+    if nv < 0 or nf < 0:
+        raise MeshInputError("negative OFF counts", line=ln1)
     body = content[2:]
     if len(body) < nv + nf:
         raise MeshInputError(f"expected {nv} vertices and {nf} faces", line=ln1)
@@ -587,8 +601,14 @@ def _parse_off(lines):
         toks = s.split()
         if not toks or toks[0] != "3":
             raise MeshInputError("non-triangular face", line=ln)
+        if len(toks) < 4:
+            raise MeshInputError("face needs 3 indices", line=ln)
         try:
-            faces.append(tuple(int(t) for t in toks[1:4]))
+            tri = tuple(int(t) for t in toks[1:4])
         except ValueError:
             raise MeshInputError("bad face index", line=ln) from None
+        for index in tri:
+            if not 0 <= index < nv:
+                raise _out_of_range(index, nv, ln)
+        faces.append(tri)
     return verts, faces

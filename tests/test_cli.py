@@ -253,3 +253,25 @@ def test_residual_without_interior_vertex(tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == EXIT_BADINPUT
     assert "no interior vertex" in capsys.readouterr().err
+
+
+def test_overflowing_face_index_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+                    "f 1 3 2\nf 1 2 4\nf 2 3 4\nf 1 4 99999999999999999999999\n")
+    code = run(["energy-eval", "--mesh", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_BADINPUT
+    assert "face index 99999999999999999999999 out of range (4 vertices)" \
+        in capsys.readouterr().err
+
+
+def test_residual_mesh_runs_one_curvature_pass(tmp_path, monkeypatch):
+    import helfrich.curvature as curvature
+
+    calls = []
+    real = curvature._face_data
+    monkeypatch.setattr(curvature, "_face_data", lambda m: calls.append(m) or real(m))
+    assert run(["residual", "--kind", "icosphere", "--level", "2",
+                "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+    assert (tmp_path / "curvature_bundle.csv").exists()

@@ -1,5 +1,7 @@
 """Descent engines and sphere-fit diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from helfrich.curvature import curvature_bundle
 from helfrich.energy import EnergyParams
 from helfrich.errors import FitError, OperatorError, UnsupportedError
 from helfrich.flow import FlowConfig, best_fit_sphere, flow_run
-from helfrich.variation import mesh_energy, residual_values
+from helfrich.variation import FD_STEP_REL, mesh_energy, residual_values
+
+CRITICAL = EnergyParams(0.0, 1.0, -1.0)     # critical sphere radius 2
 
 
 def test_config_validation():
@@ -121,7 +125,6 @@ def test_trace_files(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("iteration,objective,energy")
     assert len(lines) >= 2
-    import json
     payload = json.loads(json_path.read_text())
     assert payload["result"]["verdict"] in ("converged", "max_iters",
                                             "degenerate_mesh")
@@ -173,3 +176,89 @@ def test_degenerate_trial_step_ends_run(monkeypatch):
     last = tr.rows[-1]
     assert last.iteration == tr.iterations and last.accepted
     assert last.energy == mesh_energy(tr.final_mesh, EnergyParams())
+
+
+def _dense_fd_jacobian(mesh, params):
+    """Reference: the weighted-residual Jacobian one column at a time, two
+    residual evaluations per vertex."""
+    normals = curvature_bundle(mesh).normal
+    h = FD_STEP_REL * mesh.bbox_diagonal()
+    base = mesh.vertices
+
+    def rho(positions):
+        return flow._weighted_residual(
+            curvature_bundle(mesh.with_positions(positions)), params)
+
+    J = np.empty((mesh.n_vertices, mesh.n_vertices))
+    for j in range(mesh.n_vertices):
+        step = h * normals[j]
+        plus = base.copy()
+        plus[j] += step
+        minus = base.copy()
+        minus[j] -= step
+        J[:, j] = (rho(plus) - rho(minus)) / (2.0 * h)
+    return J
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_colored_jacobian_equals_dense_fd_bitwise(level):
+    mesh = hf.perturbed_sphere(2.0, 0.05, level)
+    engine = flow._ResidualEngine(CRITICAL, mesh)
+    J = engine.jacobian(mesh, curvature_bundle(mesh).normal)
+    assert engine.evaluations == 2 * len(engine.members)
+    assert np.array_equal(J.toarray(), _dense_fd_jacobian(mesh, CRITICAL))
+
+
+@pytest.mark.parametrize("level, n_colors", [(2, 34), (3, 39)])
+def test_jacobian_coloring_is_distance_4(level, n_colors):
+    mesh = hf.perturbed_sphere(2.0, 0.05, level)
+    _, _, colors = flow._jacobian_coloring(mesh)
+    assert colors.max() + 1 == n_colors
+    nbrs = [set() for _ in range(mesh.n_vertices)]
+    for a, b, c in mesh.faces.tolist():
+        nbrs[a] |= {b, c}
+        nbrs[b] |= {a, c}
+        nbrs[c] |= {a, b}
+    for v in range(mesh.n_vertices):        # breadth-first search, 4 edges deep
+        seen, front = {v}, {v}
+        for _ in range(4):
+            front = {u for w in front for u in nbrs[w]} - seen
+            seen |= front
+        assert not (colors[sorted(seen - {v})] == colors[v]).any()
+
+
+def test_residual_descent_radius_error_falls_under_refinement():
+    cfg = FlowConfig(mode="residual_descent", initial_step=0.1,
+                     max_iterations=40, grad_tol=1e-8, log_every=5)   # c7's
+    errors = []
+    for level in (2, 3):
+        tr = flow_run(hf.perturbed_sphere(2.0, 0.05, level), CRITICAL, cfg)
+        errors.append(abs(tr.rows[-1].fit_radius - 2.0) / 2.0)
+    assert errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("mode", flow.MODES)
+def test_summary_meta_counts_residual_evaluations(tmp_path, monkeypatch, mode):
+    import helfrich.variation as variation
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return residual_values(*args)
+
+    monkeypatch.setattr(flow, "residual_values", counted)
+    monkeypatch.setattr(variation, "residual_values", counted)
+    cfg = FlowConfig(mode=mode, max_iterations=3, log_every=1)
+    mesh = hf.perturbed_sphere(2.0, 0.05, 1)
+    tr = flow_run(mesh, CRITICAL, cfg)
+    tr.write_json(tmp_path / "flow_summary.json")
+    payload = json.loads((tmp_path / "flow_summary.json").read_text())
+    meta = payload["meta"]
+    assert meta["residual_evaluations"] == len(calls) > 0
+    if mode == "residual_descent":
+        _, _, colors = flow._jacobian_coloring(mesh)
+        assert meta["jacobian_colors"] == colors.max() + 1 == 21
+    else:
+        assert "jacobian_colors" not in meta
+    assert set(payload["result"]) == set(tr.summary_dict())

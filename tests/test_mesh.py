@@ -373,3 +373,58 @@ def test_mesh_leaves_caller_arrays_writeable():
     for frozen in (m.vertices, m.faces):
         with pytest.raises(ValueError):
             frozen[0, 0] = 1
+
+
+def test_obj_overflowing_face_index_rejected(tmp_path):
+    path = tmp_path / "big.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999999\n")
+    with pytest.raises(MeshInputError) as e:
+        hf.load_mesh(path)
+    assert "face index 99999999999999999999999 out of range (3 vertices)" in str(e.value)
+    assert e.value.line == 4
+
+
+_TETRA = {"obj": ["v 0 0 0", "v 1 0 0", "v 0 1 0", "v 0 0 1",
+                  "f 1 3 2", "f 1 2 4", "f 2 3 4", "f 1 4 3"],
+          "off": ["OFF", "4 4 6", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+                  "3 0 2 1", "3 0 1 3", "3 1 2 3", "3 0 3 2"]}
+_INDEX = st.one_of(st.integers(-3, 6), st.integers(-10**25, 10**25))
+_TOKEN = st.one_of(
+    _INDEX.map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["v", "f", "3", "OFF", "#", "1/1", "/2", "-", "1e999", "",
+                     "nan", "0x1f", "1_0", "vn", "\t"]),
+    st.text(alphabet="0123456789 .-+eE/#vfOFnai\x00\xe9", max_size=8))
+_LINE = st.one_of(
+    st.lists(_INDEX, min_size=0, max_size=4).map(
+        lambda ix: " ".join(["f", *map(str, ix)])),
+    st.lists(_INDEX, min_size=0, max_size=4).map(
+        lambda ix: " ".join(["3", *map(str, ix)])),
+    st.lists(_INDEX, min_size=0, max_size=4).map(lambda ix: " ".join(map(str, ix))),
+    st.lists(_TOKEN, min_size=0, max_size=5).map(" ".join))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ext=st.sampled_from(["obj", "off"]), data=st.data())
+def test_parser_fuzz_raises_only_mesh_input_error(tmp_path_factory, ext, data):
+    """Valid records mixed with garbage tokens, huge, zero and negative
+    indices and short lines: load_mesh either returns a mesh or raises
+    MeshInputError, never anything else."""
+    lines = list(_TETRA[ext])
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        pos = data.draw(st.integers(0, len(lines)), label="position")
+        action = data.draw(st.sampled_from(["insert", "replace", "delete"]),
+                           label="action")
+        if action == "insert" or pos == len(lines):
+            lines.insert(pos, data.draw(_LINE, label="line"))
+        elif action == "replace":
+            lines[pos] = data.draw(_LINE, label="line")
+        else:
+            del lines[pos]
+    path = tmp_path_factory.mktemp("fuzz") / f"mesh.{ext}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        m = hf.load_mesh(path)
+    except MeshInputError:
+        return
+    assert m.n_faces > 0 and m.faces.max() < m.n_vertices
