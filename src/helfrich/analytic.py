@@ -527,6 +527,15 @@ def perturbed_energies(surface, fld: AmbientField, t, grid, params):
 
 # -- first-variation cross-check ----------------------------------------------
 
+def residual_values(lap_H, H, K, tracefree_sq, params):
+    """Pointwise Euler-Lagrange residual for ``EnergyParams`` weights; for
+    c0 = 0 this is exactly the locally constrained Willmore operator
+    (identical arithmetic, no separate code path)."""
+    c0 = params.c0
+    return (lap_H + H * tracefree_sq + 2.0 * c0 * K
+            - (2.0 * params.lam1 + 0.5 * c0 * c0) * H - 2.0 * params.lam2)
+
+
 @dataclass
 class VariationRow:
     functional: str
@@ -577,17 +586,14 @@ def variation_check(surface, params, fld: AmbientField, h=1e-2,
     dmu = geom.sqrt_det_g * ww
     H, K = geom.mean_curvature, geom.gauss_curvature
     lapH = geom.laplace_mean_curvature
-    c0, l1, l2 = params.c0, params.lam1, params.lam2
 
-    willmore_core = lapH + H * geom.tracefree_sq
     formulas = {
         "area": -float((phi * H * dmu).sum()),
         "total_mean_curvature": -2.0 * float((phi * K * dmu).sum()),
-        "willmore": 0.5 * float((phi * willmore_core * dmu).sum()),
+        "willmore": 0.5 * float((phi * (lapH + H * geom.tracefree_sq) * dmu).sum()),
         "volume": -float((phi * dmu).sum()),
-        "helfrich": 0.5 * float((phi * (
-            willmore_core + 2.0 * c0 * K - (2.0 * l1 + 0.5 * c0 * c0) * H
-            - 2.0 * l2) * dmu).sum()),
+        "helfrich": 0.5 * float((phi * residual_values(
+            lapH, H, K, geom.tracefree_sq, params) * dmu).sum()),
     }
 
     evals = {t: perturbed_energies(surface, fld, t, grid, params)
@@ -841,8 +847,8 @@ def estimate_report(surface, params, cutoff, grid=None) -> EstimateReport:
         return cutoff_profile(np.linalg.norm(g.position - center, axis=-1) / radius)
 
     def residual_of(g):
-        return (g.laplace_mean_curvature + g.mean_curvature * g.tracefree_sq
-                - 2.0 * params.lam1 * g.mean_curvature - 2.0 * params.lam2)
+        return residual_values(g.laplace_mean_curvature, g.mean_curvature,
+                               g.gauss_curvature, g.tracefree_sq, params)
 
     def a_sq_of(g):
         return g.mean_curvature**2 - 2.0 * g.gauss_curvature

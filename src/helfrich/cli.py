@@ -116,11 +116,8 @@ SUBCOMMANDS = {
     "flow": {**COMMON, **MESH_KEYS, **PARAM_KEYS,
              "mode": (str, "energy_descent", "energy_descent|residual_descent"),
              "initial_step": (float, 0.02, "largest first-trial displacement"),
-             "backtrack_factor": (float, 0.5, "line-search shrink factor"),
-             "sufficient_decrease": (float, 1e-4, "Armijo constant"),
              "max_iterations": (int, 200, "iteration cap"),
              "grad_tol": (float, 1e-10, "gradient-norm stop"),
-             "step_tol": (float, 1e-14, "step-size stop"),
              "log_every": (int, 1, "trace cadence")},
     "verify": {**COMMON,
                "only": (str, None, "comma-separated criterion ids, e.g. c1,c3")},
@@ -159,13 +156,29 @@ def _resolve(args, command):
         if unknown:
             raise ParameterError("config", f"unknown keys {sorted(unknown)}")
         for k, v in cfg.items():
-            typ = spec[k][0]
-            values[k] = typ(v) if v is not None else None
+            values[k] = _config_value(k, v, *spec[k][:2])
     for k in spec:
         flag = getattr(args, k, None)
         if flag is not None:
             values[k] = flag
     return values
+
+
+# flag type -> (JSON type name, Python types a config value may have)
+JSON_TYPES = {int: ("integer", (int,)), float: ("number", (int, float)),
+              str: ("string", (str,))}
+
+
+def _config_value(key, value, typ, default):
+    """The value if it has its key's JSON type, never coerced (1.9 or true is
+    no integer); null only where the default is unset, numbers finite."""
+    name, accepted = JSON_TYPES[typ]
+    if value is None and default is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or typ is float and not abs(value) <= sys.float_info.max):
+        raise ParameterError(key, f"must be a JSON {name}, got {json.dumps(value)}")
+    return typ(value)
 
 
 def _primitive_spec(v):
@@ -350,10 +363,7 @@ def _cmd_classify(v):
 def _cmd_flow(v):
     mesh = make_primitive(_primitive_spec(v))
     cfg = FlowConfig(mode=v["mode"], initial_step=v["initial_step"],
-                     backtrack_factor=v["backtrack_factor"],
-                     sufficient_decrease=v["sufficient_decrease"],
-                     max_iterations=v["max_iterations"],
-                     grad_tol=v["grad_tol"], step_tol=v["step_tol"],
+                     max_iterations=v["max_iterations"], grad_tol=v["grad_tol"],
                      log_every=v["log_every"])
     trace = flow_run(mesh, _params(v), cfg)
     trace.write_csv(_out(v, "flow_trace.csv"))

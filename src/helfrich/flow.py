@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .analytic import residual_values
 from .curvature import curvature_bundle
 # Not used here: bound so that the benchmark tracer, which wraps every module
 # binding of the face pass (perfbench/tracing.py), keeps finding it in flow.
@@ -45,22 +46,21 @@ from .energy import EnergyParams
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
 from .mesh import TriangleMesh, mesh_integrals, validate
 from .output import write_csv, write_json
-from .variation import (FD_STEP_REL, el_residual, energy_gradient, mesh_energy,
-                        residual_values)
+from .variation import FD_STEP_REL, el_residual, energy_gradient, mesh_energy
 
 MODES = ("energy_descent", "residual_descent")
 VERDICTS = ("converged", "max_iters", "degenerate_mesh")
+BACKTRACK_FACTOR = 0.5       # line-search shrink per rejected trial
+SUFFICIENT_DECREASE = 1e-4   # Armijo constant
+STEP_TOL = 1e-14             # smallest attempted vertex displacement
 
 
 @dataclass
 class FlowConfig:
     mode: str = "energy_descent"
     initial_step: float = 0.02    # largest vertex displacement attempted first
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
     max_iterations: int = 200
     grad_tol: float = 1e-10
-    step_tol: float = 1e-14      # on the attempted displacement
     log_every: int = 1
 
     def validate(self):
@@ -68,14 +68,10 @@ class FlowConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.initial_step > 0:
             raise ValueError("initial_step must be > 0")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("sufficient_decrease must be in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.grad_tol < 0 or self.step_tol < 0:
-            raise ValueError("tolerances must be >= 0")
+        if self.grad_tol < 0:
+            raise ValueError("grad_tol must be >= 0")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -334,7 +330,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
         s = s_model
         accepted = False
         backtracks = 0
-        while s * d_max > config.step_tol:
+        while s * d_max > STEP_TOL:
             trial = mesh.with_positions(mesh.vertices + s * direction)
             try:
                 trial_obj = engine.objective(trial)
@@ -343,10 +339,10 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
                 message = f"trial step: {e}"
                 break
             if np.isfinite(trial_obj) and \
-                    trial_obj <= obj - config.sufficient_decrease * s * slope:
+                    trial_obj <= obj - SUFFICIENT_DECREASE * s * slope:
                 accepted = True
                 break
-            s *= config.backtrack_factor
+            s *= BACKTRACK_FACTOR
             backtracks += 1
         if verdict == "degenerate_mesh":
             break

@@ -9,7 +9,7 @@ signs downstream are taken against the inward normal.
 from __future__ import annotations
 
 import dataclasses
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,24 +135,19 @@ class TriangleMesh:
         order = np.argsort(code, kind="stable")
         sorted_code = code[order]
         dup = np.zeros(3 * F, dtype=bool)
-        if len(sorted_code) > 1:
-            rep = sorted_code[1:] == sorted_code[:-1]
-            dup[order[1:][rep]] = True
-            dup[order[:-1][rep]] = True
+        rep = sorted_code[1:] == sorted_code[:-1]
+        dup[order[1:][rep]] = True
+        dup[order[:-1][rep]] = True
         self._duplicate_directed = dup
 
         twin_code = he_dest * np.int64(V) + self.he_origin
-        pos = np.searchsorted(sorted_code, twin_code)
-        pos_clip = np.minimum(pos, len(sorted_code) - 1) if len(sorted_code) else pos
-        found = np.zeros(3 * F, dtype=bool)
-        if len(sorted_code):
-            found = sorted_code[pos_clip] == twin_code
+        pos = np.minimum(np.searchsorted(sorted_code, twin_code), max(3 * F - 1, 0))
+        found = sorted_code[pos] == twin_code
         twin = np.full(3 * F, -1, dtype=np.int64)
-        twin[found] = order[pos_clip[found]]
+        twin[found] = order[pos[found]]
         # A duplicated directed edge makes twin assignment ambiguous; leave -1.
         twin[dup] = -1
-        twin[twin >= 0] = np.where(
-            dup[twin[twin >= 0]], -1, twin[twin >= 0])
+        twin[(twin >= 0) & dup[twin]] = -1
         self.he_twin = twin
 
         self.is_boundary_halfedge = self.he_twin < 0
@@ -212,16 +207,11 @@ class TriangleMesh:
     def boundary_loops(self):
         """Number of boundary loops (cycles of boundary half-edges)."""
         bdry = np.nonzero(self.is_boundary_halfedge)[0]
-        if len(bdry) == 0:
-            return 0
         # Unique for manifold meshes; first-wins otherwise.
-        start_of = {}
-        for h in bdry:
-            start_of.setdefault(int(self.he_origin[h]), int(h))
+        start_of = dict(zip(self.he_origin[bdry][::-1].tolist(), bdry[::-1].tolist()))
         seen = set()
         loops = 0
-        for h0 in bdry:
-            h0 = int(h0)
+        for h0 in bdry.tolist():
             if h0 in seen:
                 continue
             loops += 1
@@ -281,11 +271,9 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
         messages.append(f"unreferenced vertices: {unreferenced[:10].tolist()}")
 
     areas = mesh.face_areas()
-    diag2 = mesh.bbox_diagonal() ** 2
-    degenerate = int((areas <= DEGENERATE_AREA_REL * diag2).sum()) if len(areas) else 0
-    if degenerate:
-        idx = np.nonzero(areas <= DEGENERATE_AREA_REL * diag2)[0]
-        messages.append(f"degenerate faces: {idx[:10].tolist()}")
+    degenerate = np.nonzero(areas <= DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2)[0]
+    if len(degenerate):
+        messages.append(f"degenerate faces: {degenerate[:10].tolist()}")
 
     return MeshDiagnostics(
         n_vertices=mesh.n_vertices,
@@ -296,7 +284,7 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
         boundary_loops=mesh.boundary_loops(),
         manifold=manifold,
         oriented=oriented,
-        n_degenerate_faces=degenerate,
+        n_degenerate_faces=len(degenerate),
         n_unreferenced_vertices=len(unreferenced),
         min_face_area=float(areas.min()) if len(areas) else 0.0,
         messages=messages,
@@ -504,17 +492,20 @@ def load_mesh(path) -> TriangleMesh:
     path = str(path)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
-    if path.lower().endswith(".obj"):
-        verts, faces = _parse_obj(lines)
-    elif path.lower().endswith(".off"):
-        verts, faces = _parse_off(lines)
-    else:
+    fmt = _FORMATS.get(path.lower().rpartition(".")[2])
+    if fmt is None:
         raise MeshInputError(f"unsupported mesh extension for {path!r}")
-    if not verts:
+    select, base, count_ok, count_message = fmt
+    vert_rows, face_rows = select(lines)
+    verts = _convert(vert_rows, np.float64, np.greater_equal, "vertex needs 3 coordinates",
+                     "bad vertex line", _check_vertices)
+    faces = _convert(face_rows, np.int64, count_ok, count_message, "bad face index",
+                     lambda idx, lns: _check_indices(idx, lns, base, len(verts))) - base
+    if not len(verts):
         raise MeshInputError("no vertices parsed (empty or invalid file)", line=1)
-    if not faces:
+    if not len(faces):
         raise MeshInputError("no faces parsed")
-    mesh = TriangleMesh(np.array(verts), np.array(faces, dtype=np.int64))
+    mesh = TriangleMesh(verts, faces)
     diag = validate(mesh)
     if not (diag.manifold and diag.oriented):
         raise MeshInputError(f"non-manifold or inconsistently oriented input: "
@@ -525,90 +516,98 @@ def load_mesh(path) -> TriangleMesh:
     return mesh
 
 
-def _parse_vertex(tokens, ln):
-    try:
-        point = tuple(float(t) for t in tokens)
-    except ValueError:
-        raise MeshInputError("bad vertex line", line=ln) from None
-    if not all(math.isfinite(x) for x in point):
-        raise MeshInputError("non-finite vertex coordinate", line=ln)
-    return point
-
-
-def _out_of_range(index, n_vertices, ln):
-    return MeshInputError(f"face index {index} out of range ({n_vertices} vertices)",
-                          line=ln)
-
-
-def _parse_obj(lines):
-    verts, faces, face_lines = [], [], []
+def _obj_records(lines):
+    """``v`` and ``f`` records, tag and /vt/vn references dropped; others ignored."""
+    verts, faces = ([], []), ([], [])
+    rows_of = {"v": verts, "f": faces}.get
     for ln, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MeshInputError("vertex needs 3 coordinates", line=ln)
-            verts.append(_parse_vertex(parts[1:4], ln))
-        elif parts[0] == "f":
-            idx = parts[1:]
-            if len(idx) != 3:
-                raise MeshInputError("non-triangular face", line=ln)
-            try:
-                tri = tuple(int(t.split("/")[0]) for t in idx)
-            except ValueError:
-                raise MeshInputError("bad face index", line=ln) from None
-            if min(tri) <= 0:
-                raise MeshInputError(
-                    "relative (negative) or zero face indices are not supported", line=ln)
-            faces.append(tuple(t - 1 for t in tri))
-            face_lines.append(ln)
-        # other OBJ record types (vn, vt, o, s, usemtl, ...) are ignored
-    # A face may precede the vertices it uses, so indices are checked last.
-    for ln, tri in zip(face_lines, faces):
-        if max(tri) >= len(verts):
-            raise _out_of_range(max(tri) + 1, len(verts), ln)
-    return verts, faces
+        parts = raw.split(None, 1) + [""]
+        rows = rows_of(parts[0])
+        if rows is not None:
+            rows[0].append(ln)
+            rows[1].append(parts[1])
+    return verts, (faces[0], [_REFERENCE.sub("", t) if "/" in t else t
+                              for t in faces[1]])
 
 
-def _parse_off(lines):
-    content = [(ln, raw.split("#")[0].strip()) for ln, raw in enumerate(lines, start=1)]
-    content = [(ln, s) for ln, s in content if s]
-    if not content:
+def _off_records(lines):
+    """nv vertex and nf face records after the header and counts line."""
+    texts = [raw.partition("#")[0].strip() for raw in lines]
+    lns = [ln for ln, s in enumerate(texts, start=1) if s]
+    texts = [s for s in texts if s]
+    if not texts:
         raise MeshInputError("empty OFF file", line=1)
-    ln0, header = content[0]
-    if header != "OFF":
-        raise MeshInputError("missing OFF header", line=ln0)
-    if len(content) < 2:
-        raise MeshInputError("missing OFF counts line", line=ln0)
-    ln1, counts = content[1]
+    if texts[0] != "OFF":
+        raise MeshInputError("missing OFF header", line=lns[0])
+    if len(texts) < 2:
+        raise MeshInputError("missing OFF counts line", line=lns[0])
     try:
-        nv, nf = int(counts.split()[0]), int(counts.split()[1])
+        nv, nf = int(texts[1].split()[0]), int(texts[1].split()[1])
     except (ValueError, IndexError):
-        raise MeshInputError("bad OFF counts line", line=ln1) from None
+        raise MeshInputError("bad OFF counts line", line=lns[1]) from None
     if nv < 0 or nf < 0:
-        raise MeshInputError("negative OFF counts", line=ln1)
-    body = content[2:]
-    if len(body) < nv + nf:
-        raise MeshInputError(f"expected {nv} vertices and {nf} faces", line=ln1)
-    verts, faces = [], []
-    for ln, s in body[:nv]:
-        toks = s.split()
-        if len(toks) < 3:
-            raise MeshInputError("vertex needs 3 coordinates", line=ln)
-        verts.append(_parse_vertex(toks[:3], ln))
-    for ln, s in body[nv:nv + nf]:
-        toks = s.split()
-        if not toks or toks[0] != "3":
-            raise MeshInputError("non-triangular face", line=ln)
-        if len(toks) < 4:
-            raise MeshInputError("face needs 3 indices", line=ln)
-        try:
-            tri = tuple(int(t) for t in toks[1:4])
-        except ValueError:
-            raise MeshInputError("bad face index", line=ln) from None
-        for index in tri:
-            if not 0 <= index < nv:
-                raise _out_of_range(index, nv, ln)
-        faces.append(tri)
-    return verts, faces
+        raise MeshInputError("negative OFF counts", line=lns[1])
+    if len(texts) < 2 + nv + nf:
+        raise MeshInputError(f"expected {nv} vertices and {nf} faces", line=lns[1])
+    face_lines = lns[2 + nv:2 + nv + nf]
+    faces = [s.split(None, 1) + [""] for s in texts[2 + nv:2 + nv + nf]]
+    _raise_first(np.array([f[0] for f in faces]) != "3", face_lines, "non-triangular face")
+    return (lns[2:2 + nv], texts[2:2 + nv]), (face_lines, [f[1] for f in faces])
+
+
+# extension -> (record selector, face index base, face token-count rule, message)
+_FORMATS = {"obj": (_obj_records, 1, np.equal, "non-triangular face"),
+            "off": (_off_records, 0, np.greater_equal, "face needs 3 indices")}
+_REFERENCE = re.compile(r"(?<=[^\s/])/\S*")   # "/vt/vn" after an OBJ face index
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_COORD_LIMIT = np.finfo(np.float64).max ** 0.25 / 4   # squared face areas stay finite
+
+
+def _convert(rows, dtype, count_ok, count_message, token_message, check):
+    """(line numbers, texts) -> (n, 3) array of each text's first three tokens
+    from one ``np.loadtxt`` call; a text it rejects is then found row by row."""
+    lines, texts = rows
+    if not texts:
+        return np.empty((0, 3), dtype)
+    n_tokens = np.array([len(text.split()) for text in texts])
+    _raise_first(~count_ok(n_tokens, 3), lines, count_message)
+    values = _loadtxt(texts, dtype)
+    if values is not None:
+        check(values, lines)
+        return values
+    r = next(r for r, text in enumerate(texts) if _loadtxt([text], dtype) is None)
+    tokens = texts[r].split()[:3]
+    if dtype == np.int64 and all(map(_INTEGER.fullmatch, tokens)):
+        # An index past int64: the range check names it as a Python int.
+        check(np.array([[int(t) for t in tokens]], dtype=object), lines[r:r + 1])
+    raise MeshInputError(token_message, line=lines[r])
+
+
+def _loadtxt(texts, dtype):
+    try:
+        return np.loadtxt(texts, dtype=dtype, comments=None, usecols=(0, 1, 2), ndmin=2)
+    except ValueError:
+        return None
+
+
+def _raise_first(bad, lines, message):
+    if bad.any():
+        raise MeshInputError(message, line=lines[np.argmax(bad)])
+
+
+def _check_vertices(verts, lines):
+    _raise_first(~np.isfinite(verts).all(axis=1), lines, "non-finite vertex coordinate")
+    _raise_first((np.abs(verts) > _COORD_LIMIT).any(axis=1), lines,
+                 f"vertex coordinate beyond {_COORD_LIMIT:.2g}")
+
+
+def _check_indices(idx, lines, base, n_vertices):
+    """``base``-based face indices in range; OBJ (base 1) takes no relative ones."""
+    if base:
+        _raise_first((idx <= 0).any(axis=1), lines,
+                     "relative (negative) or zero face indices are not supported")
+    bad = (idx < base) | (idx >= n_vertices + base)
+    if bad.any():
+        r = np.argmax(bad.any(axis=1))
+        raise MeshInputError(f"face index {idx[r][bad[r]][0]} out of range "
+                             f"({n_vertices} vertices)", line=lines[r])

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ParametricSurface, QuadratureGrid
+from .analytic import ParametricSurface, QuadratureGrid, residual_values
 from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
 from .errors import MeshInputError, UndefinedFunctionalError, UnsupportedError
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, mesh_integrals
 from .output import write_csv
 
 FD_STEP_REL = 1e-5      # of the bounding-box diagonal
@@ -54,14 +54,6 @@ class ResidualField:
     def to_csv(self, path):
         write_csv(path, ["vertex", "residual", "area", "interior"],
                   [np.arange(len(self.values)), self.values, self.areas, self.interior])
-
-
-def residual_values(lap_H, H, K, tracefree_sq, params: EnergyParams):
-    """Pointwise residual; for c0 = 0 this is exactly the locally constrained
-    Willmore operator (identical arithmetic, no separate code path)."""
-    c0 = params.c0
-    return (lap_H + H * tracefree_sq + 2.0 * c0 * K
-            - (2.0 * params.lam1 + 0.5 * c0 * c0) * H - 2.0 * params.lam2)
 
 
 def _stencil_interior(mesh, interior):
@@ -259,7 +251,7 @@ def gradient_check(mesh: TriangleMesh, params: EnergyParams, n_fields=20,
             energy_fn=lambda m: m.face_areas().sum())
         fd_vol = directional_derivative_fd(
             mesh, params, d, h_vol,
-            energy_fn=lambda m: _poly_volume(m))
+            energy_fn=lambda m: mesh_integrals(m)["signed_volume"])
         fd_full = directional_derivative_fd(mesh, params, d, h_full)
         rows.append({
             "field": k,
@@ -273,7 +265,3 @@ def gradient_check(mesh: TriangleMesh, params: EnergyParams, n_fields=20,
         full_max_rel=max(r["full_rel"] for r in rows),
         n_fields=n_fields, per_field=rows)
 
-
-def _poly_volume(mesh):
-    p0, p1, p2 = mesh.face_corner_positions()
-    return float(np.einsum("ij,ij->", p0, np.cross(p1, p2)) / 6.0)

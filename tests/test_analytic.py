@@ -285,6 +285,17 @@ def test_estimate_report_critical_sphere():
     assert "no inequality verdict" in rep.note
 
 
+def test_estimate_report_residual_keeps_spontaneous_curvature():
+    # Sphere of radius 2: H = 1, K = 1/4, tracefree part and lap H vanish; the
+    # cutoff is 1 on the whole sphere, so the term is residual^2 * area.
+    c0, lam1, lam2 = 0.7, 1.0, -1.0
+    rep = estimate_report(sphere(2.0), EnergyParams(c0, lam1, lam2),
+                          cutoff=((0.0, 0.0, 0.0), 10.0))
+    residual = 2 * c0 * 0.25 - (2 * lam1 + 0.5 * c0**2) - 2 * lam2
+    assert rep.terms["residual_sq_gamma4"] == pytest.approx(
+        residual**2 * 16 * np.pi, rel=1e-10)
+
+
 def test_estimate_report_plane_lambda2():
     lam2 = 0.5
     rep = estimate_report(plane_patch(), EnergyParams(0.0, 0.0, lam2),

@@ -156,6 +156,26 @@ def test_config_file_merging_and_unknown_keys(tmp_path):
     assert run(["scan", "--config", str(bad), "--out", out]) == EXIT_BADINPUT
 
 
+@pytest.mark.parametrize("key, value", [
+    ("level", 1.9), ("level", True), ("level", "3"), ("radius", True),
+    ("radius", "2"), ("radius", None), ("radius", 10**400), ("radius", float("inf")),
+    ("kind", 3), ("mesh_out", ["a.obj"])])
+def test_config_value_of_wrong_json_type_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "mesh.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = run(["mesh-make", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_BADINPUT
+    assert f"{key}: must be a JSON" in capsys.readouterr().err
+
+
+def test_config_accepts_integer_for_number_key(tmp_path):
+    cfg = tmp_path / "mesh.json"
+    cfg.write_text(json.dumps({"radius": 2, "level": 1, "kind": "icosphere"}))
+    assert run(["mesh-make", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "mesh_make_summary.json").read_text())
+    assert summary["result"]["n_vertices"] == 42
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     args = ["gradient-check", "--kind", "perturbed_sphere", "--level", "2",

@@ -21,10 +21,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(mode="newton").validate()
     with pytest.raises(ValueError):
-        FlowConfig(backtrack_factor=1.0).validate()
-    with pytest.raises(ValueError):
-        FlowConfig(sufficient_decrease=0.0).validate()
-    with pytest.raises(ValueError):
         FlowConfig(initial_step=-1.0).validate()
     with pytest.raises(ValueError):
         FlowConfig(max_iterations=0).validate()

@@ -384,6 +384,116 @@ def test_obj_overflowing_face_index_rejected(tmp_path):
     assert e.value.line == 4
 
 
+_OBJ_TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+_OFF_TRI = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+# (extension, file text, message, line): one fault per file
+_REJECTED = [
+    ("obj", "v 0 0 0\nv 1 x 0\nv 0 1 0\nf 1 2 3\n", "bad vertex line", 2),
+    ("obj", _OBJ_TRI + "f 1 a 3\n", "bad face index", 4),
+    ("obj", _OBJ_TRI + "f 1 /2 3\n", "bad face index", 4),
+    ("obj", "v 0 0 0\nv 1 nan 0\nv 0 1 0\nf 1 2 3\n", "non-finite vertex coordinate", 2),
+    ("obj", "v 0 0 0\nv 1 0 1e999\nv 0 1 0\nf 1 2 3\n",
+     "non-finite vertex coordinate", 2),
+    ("obj", "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "vertex needs 3 coordinates", 2),
+    ("obj", "v 0 0 0\nv\nv 0 1 0\nf 1 2 3\n", "vertex needs 3 coordinates", 2),
+    ("obj", _OBJ_TRI + "f 1 2\n", "non-triangular face", 4),
+    ("obj", _OBJ_TRI + "f\n", "non-triangular face", 4),
+    ("obj", _OBJ_TRI + "f 1 2 3 # note\n", "non-triangular face", 4),
+    ("obj", _OBJ_TRI + "f 0 1 2\n",
+     "relative (negative) or zero face indices are not supported", 4),
+    ("obj", _OBJ_TRI + "f 1 2 -99999999999999999999999\n",
+     "relative (negative) or zero face indices are not supported", 4),
+    ("obj", _OBJ_TRI + "f 1 2 4\n", "face index 4 out of range (3 vertices)", 4),
+    ("obj", _OBJ_TRI + "f 1 2 3\nf 3/1 4/2 1/3\n",
+     "face index 4 out of range (3 vertices)", 5),
+    ("obj", _OBJ_TRI + "f 1 2 9223372036854775808\n",
+     "face index 9223372036854775808 out of range (3 vertices)", 4),
+    ("obj", "# nothing\n\n", "no vertices parsed (empty or invalid file)", 1),
+    ("obj", _OBJ_TRI, "no faces parsed", None),
+    ("off", "OFF\n3 1 0\n0 0 0\n1 x 0\n0 1 0\n3 0 1 2\n", "bad vertex line", 4),
+    ("off", _OFF_TRI + "3 0 a 2\n", "bad face index", 6),
+    ("off", _OFF_TRI + "3 0 1.0 2\n", "bad face index", 6),
+    ("off", "OFF\n3 1 0\n0 0 0\n1 -inf 0\n0 1 0\n3 0 1 2\n",
+     "non-finite vertex coordinate", 4),
+    ("off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "vertex needs 3 coordinates", 4),
+    ("off", _OFF_TRI + "3 0 1\n", "face needs 3 indices", 6),
+    ("off", _OFF_TRI + "3\n", "face needs 3 indices", 6),
+    ("off", _OFF_TRI + "2 0 1\n", "non-triangular face", 6),
+    ("off", _OFF_TRI + "3 0 1 3\n", "face index 3 out of range (3 vertices)", 6),
+    ("off", _OFF_TRI + "3 0 -1 2\n", "face index -1 out of range (3 vertices)", 6),
+    ("off", _OFF_TRI + "3 0 1 99999999999999999999999\n",
+     "face index 99999999999999999999999 out of range (3 vertices)", 6),
+    ("off", _OFF_TRI + "3 -99999999999999999999999 1 2\n",
+     "face index -99999999999999999999999 out of range (3 vertices)", 6),
+    ("off", "# only a comment\n", "empty OFF file", 1),
+    ("off", "OFX\n3 1 0\n", "missing OFF header", 1),
+    ("off", "OFF\n", "missing OFF counts line", 1),
+    ("off", "OFF\n3 x 0\n", "bad OFF counts line", 2),
+    ("off", "OFF\n-3 1 0\n", "negative OFF counts", 2),
+    ("off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+     "expected 3 vertices and 2 faces", 2),
+    ("off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "no faces parsed", None),
+]
+_TRI_VERTS = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+# (extension, file text, vertices, faces)
+_ACCEPTED = [
+    ("obj", "f 1 2 3\n" + _OBJ_TRI, _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", _OBJ_TRI + "f 1/1 2/2 3/3\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", _OBJ_TRI + "f 1//1 2//2 3//3\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", _OBJ_TRI + "f 1/1/1 2/2/2 +3/3/3\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", "v 0 0 0 1\nv 1 0 0 1 junk\nv 0 1 0\nf 1 2 3\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", "v\t0 0\t0\n  v 1 0 0\nv 0  1 0\t\nf\t1 2\t3\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", _OBJ_TRI.replace("\n", "\r\n") + "f 1 2 3\r\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", "# header\nv 0 0 0\n#v 9 9 9\nv 1 0 0 # note\nv 0 1 0\n"
+            "vn 0 0 1\nvt 0.5 0.5\no tri\ns off\nusemtl red\nf 1 2 3\n",
+     _TRI_VERTS, [[0, 1, 2]]),
+    ("obj", "v 1.5e-3 -2 +.5\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+     [[1.5e-3, -2.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]]),
+    ("off", _OFF_TRI + "3 0 1 2\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("off", "# header\nOFF # kind\n\n3 1 0\n0 0 0 # origin\n1\t0 0 255 0 0\n0 1 0\n"
+            "3 0 1 2 255 0 0\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("off", _OFF_TRI.replace("\n", "\r\n") + "3\t0 1 2\r\n", _TRI_VERTS, [[0, 1, 2]]),
+]
+
+
+def _assert_rejected(tmp_path, ext, text, message, line):
+    path = tmp_path / f"mesh.{ext}"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(MeshInputError) as e:
+        hf.load_mesh(path)
+    assert e.value.line == line
+    assert str(e.value) == (message if line is None else f"{message} at line {line}")
+
+
+@pytest.mark.parametrize("ext, text, message, line", _REJECTED)
+def test_reader_rejections_name_message_and_line(tmp_path, ext, text, message, line):
+    _assert_rejected(tmp_path, ext, text, message, line)
+
+
+@pytest.mark.parametrize("ext, text, message, line", [
+    ("obj", "v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1 2 3\n", "bad vertex line", 2),
+    ("obj", _OBJ_TRI + "f 1 2 0_3\n", "bad face index", 4),
+    ("off", _OFF_TRI + "3 0 1 0_2\n", "bad face index", 6)])
+def test_reader_rejects_digit_separators(tmp_path, ext, text, message, line):
+    # Python's float() and int() accept "1_0"; the reader's numpy parse does not.
+    _assert_rejected(tmp_path, ext, text, message, line)
+
+
+def test_reader_rejects_coordinates_whose_areas_overflow(tmp_path):
+    # |x| = 1e100 is finite, but squared face areas would overflow float64.
+    _assert_rejected(tmp_path, "off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1e100 0\n3 0 1 2\n",
+                     "vertex coordinate beyond 2.9e+76", 5)
+
+
+@pytest.mark.parametrize("ext, text, vertices, faces", _ACCEPTED)
+def test_reader_accepted_forms(tmp_path, ext, text, vertices, faces):
+    path = tmp_path / f"mesh.{ext}"
+    path.write_bytes(text.encode("ascii"))
+    m = hf.load_mesh(path)
+    assert m.vertices.tolist() == vertices
+    assert m.faces.tolist() == faces
+
+
 _TETRA = {"obj": ["v 0 0 0", "v 1 0 0", "v 0 1 0", "v 0 0 1",
                   "f 1 3 2", "f 1 2 4", "f 2 3 4", "f 1 4 3"],
           "off": ["OFF", "4 4 6", "0 0 0", "1 0 0", "0 1 0", "0 0 1",
