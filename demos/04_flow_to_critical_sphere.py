@@ -4,7 +4,7 @@ With area penalized and volume rewarded (lam1=1, lam2=-1) the unique critical
 shape is the round sphere of radius -2*lam1/lam2 = 2.  The penalized energy
 has a strict maximum there along the sphere family, so the reproduction
 vehicle is descent on the squared-residual norm, whose global minimum is the
-critical sphere.  Takes about a minute.
+critical sphere.
 """
 
 import numpy as np
@@ -31,11 +31,12 @@ print(f"endpoint radius {last.fit_radius:.5f} vs predicted 2.0 "
 
 print("\n=== pure bending descent, (lam1, lam2) = (0, 0) ===")
 cfg2 = FlowConfig(mode="energy_descent", initial_step=0.05,
-                  max_iterations=1500, grad_tol=1e-10, log_every=300)
+                  max_iterations=1500, grad_tol=1e-10, log_every=5)
 trace2 = flow_run(seed_mesh, EnergyParams(), cfg2)
 for row in trace2.rows:
     print(f"  it {row.iteration:4d}  willmore {row.energy:.6f}  "
           f"rms {row.fit_rms:.2e}")
+print(f"verdict: {trace2.verdict} ({trace2.message})")
 w = trace2.rows[-1].energy
 print(f"final Willmore {w:.6f} is {abs(w / (4 * np.pi) - 1):.3%} from 4*pi")
 

@@ -115,7 +115,8 @@ SUBCOMMANDS = {
                  "flow_endpoint_radius": (float, None, "optional flow evidence")},
     "flow": {**COMMON, **MESH_KEYS, **PARAM_KEYS,
              "mode": (str, "energy_descent", "energy_descent|residual_descent"),
-             "initial_step": (float, 0.02, "largest first-trial displacement"),
+             "initial_step": (float, 0.02, "largest first-trial displacement; "
+                              "later first trials stay within 4x the last step"),
              "max_iterations": (int, 200, "iteration cap"),
              "grad_tol": (float, 1e-10, "gradient-norm stop"),
              "log_every": (int, 1, "trace cadence")},

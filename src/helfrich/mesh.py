@@ -271,7 +271,7 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
         messages.append(f"unreferenced vertices: {unreferenced[:10].tolist()}")
 
     areas = mesh.face_areas()
-    degenerate = np.nonzero(areas <= DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2)[0]
+    degenerate = _degenerate_faces(mesh, areas)
     if len(degenerate):
         messages.append(f"degenerate faces: {degenerate[:10].tolist()}")
 
@@ -289,6 +289,11 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
         min_face_area=float(areas.min()) if len(areas) else 0.0,
         messages=messages,
     )
+
+
+def _degenerate_faces(mesh, areas):
+    """Indices of faces whose area is zero relative to the mesh's size."""
+    return np.nonzero(areas <= DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2)[0]
 
 
 def mesh_integrals(mesh: TriangleMesh) -> dict:
@@ -488,7 +493,8 @@ def save_mesh(mesh: TriangleMesh, path):
 
 
 def load_mesh(path) -> TriangleMesh:
-    """Read an ASCII OBJ or OFF triangle mesh; rejects non-manifold input."""
+    """Read an ASCII OBJ or OFF triangle mesh; rejects non-manifold input and
+    faces of zero area."""
     path = str(path)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -513,6 +519,9 @@ def load_mesh(path) -> TriangleMesh:
     if diag.n_unreferenced_vertices:
         raise MeshInputError(f"vertex {int(mesh.unreferenced_vertices()[0])} (0-based) "
                              f"is used by no face")
+    if diag.n_degenerate_faces:
+        f = int(_degenerate_faces(mesh, mesh.face_areas())[0])
+        raise MeshInputError(f"face {f} (0-based) has zero area", line=face_rows[0][f])
     return mesh
 
 
@@ -541,10 +550,10 @@ def _off_records(lines):
         raise MeshInputError("missing OFF header", line=lns[0])
     if len(texts) < 2:
         raise MeshInputError("missing OFF counts line", line=lns[0])
-    try:
-        nv, nf = int(texts[1].split()[0]), int(texts[1].split()[1])
-    except (ValueError, IndexError):
-        raise MeshInputError("bad OFF counts line", line=lns[1]) from None
+    counts = texts[1].split()[:2]
+    if len(counts) < 2 or not all(map(_INTEGER.fullmatch, counts)):
+        raise MeshInputError("bad OFF counts line", line=lns[1])
+    nv, nf = map(int, counts)
     if nv < 0 or nf < 0:
         raise MeshInputError("negative OFF counts", line=lns[1])
     if len(texts) < 2 + nv + nf:
@@ -559,7 +568,7 @@ def _off_records(lines):
 _FORMATS = {"obj": (_obj_records, 1, np.equal, "non-triangular face"),
             "off": (_off_records, 0, np.greater_equal, "face needs 3 indices")}
 _REFERENCE = re.compile(r"(?<=[^\s/])/\S*")   # "/vt/vn" after an OBJ face index
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")   # an integer token, as np.loadtxt reads it
 _COORD_LIMIT = np.finfo(np.float64).max ** 0.25 / 4   # squared face areas stay finite
 
 

@@ -127,7 +127,7 @@ def test_flow_cli_smoke(tmp_path):
                 "--mode", "energy_descent", "--initial-step", "0.05",
                 "--max-iterations", "5", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "flow_summary.json").read_text())
-    assert payload["result"]["verdict"] in ("converged", "max_iters")
+    assert payload["result"]["verdict"] in ("converged", "stalled", "max_iters")
     assert (tmp_path / "flow_trace.csv").exists()
 
 
@@ -283,6 +283,17 @@ def test_overflowing_face_index_exits_2(tmp_path, capsys):
     assert code == EXIT_BADINPUT
     assert "face index 99999999999999999999999 out of range (4 vertices)" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["energy-eval", "residual"])
+def test_zero_area_face_exits_2(tmp_path, capsys, command):
+    # Vertices 2, 3 and 4 are collinear, so face "f 2 3 4" has zero area.
+    path = tmp_path / "flat.obj"
+    path.write_text("v 0 0 1\nv 0 0 0\nv 1 0 0\nv 2 0 0\n"
+                    "f 1 3 2\nf 1 2 4\nf 2 3 4\nf 1 4 3\n")
+    code = run([command, "--mesh", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_BADINPUT
+    assert "face 2 (0-based) has zero area at line 7" in capsys.readouterr().err
 
 
 def test_residual_mesh_runs_one_curvature_pass(tmp_path, monkeypatch):

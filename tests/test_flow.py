@@ -7,11 +7,11 @@ import pytest
 
 import helfrich as hf
 from helfrich import flow
-from helfrich.curvature import curvature_bundle
+from helfrich.curvature import cotan_operator, curvature_bundle
 from helfrich.energy import EnergyParams
 from helfrich.errors import FitError, OperatorError, UnsupportedError
 from helfrich.flow import FlowConfig, best_fit_sphere, flow_run
-from helfrich.variation import FD_STEP_REL, mesh_energy, residual_values
+from helfrich.variation import FD_STEP_REL, energy_gradient, mesh_energy, residual_values
 
 CRITICAL = EnergyParams(0.0, 1.0, -1.0)     # critical sphere radius 2
 
@@ -122,7 +122,7 @@ def test_trace_files(tmp_path):
     assert lines[0].startswith("iteration,objective,energy")
     assert len(lines) >= 2
     payload = json.loads(json_path.read_text())
-    assert payload["result"]["verdict"] in ("converged", "max_iters",
+    assert payload["result"]["verdict"] in ("converged", "stalled", "max_iters",
                                             "degenerate_mesh")
     assert "wall_time_s" in payload["meta"]
 
@@ -258,3 +258,86 @@ def test_summary_meta_counts_residual_evaluations(tmp_path, monkeypatch, mode):
     else:
         assert "jacobian_colors" not in meta
     assert set(payload["result"]) == set(tr.summary_dict())
+
+
+@pytest.mark.parametrize("mode", flow.MODES)
+def test_summary_meta_counts_objective_evaluations(tmp_path, monkeypatch, mode):
+    engine = flow._ResidualEngine if mode == "residual_descent" else flow._EnergyEngine
+    real = engine.objective
+    calls = []
+    monkeypatch.setattr(engine, "objective",
+                        lambda self, m: calls.append(m) or real(self, m))
+    cfg = FlowConfig(mode=mode, max_iterations=4, log_every=1)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 1), CRITICAL, cfg)
+    tr.write_json(tmp_path / "flow_summary.json")
+    meta = json.loads((tmp_path / "flow_summary.json").read_text())["meta"]
+    assert meta["objective_evaluations"] == len(calls) > tr.iterations
+
+
+def test_energy_direction_is_the_sobolev_gradient(monkeypatch):
+    """The step's normal coefficient c solves (M + sigma K M^-1 K) c = -g,
+    the slope is -g.c, and the reported norm is the L^2 gradient's; one
+    direction costs two face passes (curvature and operator)."""
+    import helfrich.curvature as curvature
+
+    mesh = hf.perturbed_sphere(2.0, 0.05, 2)
+    passes = []
+    real = curvature._face_data
+    monkeypatch.setattr(curvature, "_face_data", lambda m: passes.append(m) or real(m))
+    direction, slope, grad_norm = flow._EnergyEngine(EnergyParams()).direction(mesh)
+    assert len(passes) == 2
+    monkeypatch.undo()
+    G = energy_gradient(mesh, EnergyParams(), method="assembled")
+    normals = curvature_bundle(mesh).normal
+    g = (G * normals).sum(axis=1)
+    c = (direction * normals).sum(axis=1)
+    op = cotan_operator(mesh)
+    K, M = op.stiffness.toarray(), op.mass
+    sigma = flow.SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
+    metric = np.diag(M) + sigma * K @ np.diag(1.0 / M) @ K
+    assert np.allclose(direction, c[:, None] * normals, rtol=0, atol=1e-15)
+    assert np.allclose(metric @ c, -g, rtol=0, atol=1e-12 * np.abs(g).max())
+    assert slope == pytest.approx(-float(g @ c), rel=1e-12) and slope > 0.0
+    assert grad_norm == pytest.approx(float(np.linalg.norm(G)), rel=1e-12)
+
+
+def test_line_search_first_trial_is_warm_started(monkeypatch):
+    """Each iteration's first trial moves no vertex coordinate farther than
+    initial_step or WARM_START_FACTOR x the last accepted displacement."""
+    real_direction = flow._EnergyEngine.direction
+    real_objective = flow._EnergyEngine.objective
+    bases, firsts = [], []
+
+    def direction(self, m):
+        bases.append(m.vertices)
+        return real_direction(self, m)
+
+    def objective(self, m):
+        if len(firsts) < len(bases):      # the first trial of this iteration
+            firsts.append(m.vertices)
+        return real_objective(self, m)
+
+    monkeypatch.setattr(flow._EnergyEngine, "direction", direction)
+    monkeypatch.setattr(flow._EnergyEngine, "objective", objective)
+    cfg = FlowConfig(mode="energy_descent", initial_step=0.05,
+                     max_iterations=20, log_every=1)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 2), EnergyParams(), cfg)
+    accepted = [r.step_size for r in tr.rows if r.accepted]
+    assert len(accepted) == tr.iterations >= 10
+    for k, (base, first) in enumerate(zip(bases, firsts)):
+        cap = cfg.initial_step if k == 0 else \
+            min(cfg.initial_step, flow.WARM_START_FACTOR * accepted[k - 1])
+        roundoff = 4 * np.finfo(float).eps * np.abs(base).max()
+        assert np.abs(first - base).max() <= cap + roundoff
+    assert any(a < cfg.initial_step / flow.WARM_START_FACTOR for a in accepted)
+
+
+def test_energy_descent_willmore_error_falls_under_refinement():
+    cfg = FlowConfig(mode="energy_descent", initial_step=0.05,
+                     max_iterations=1500, grad_tol=1e-10, log_every=100)   # c7's
+    errors = []
+    for level in (2, 3):
+        tr = flow_run(hf.perturbed_sphere(2.0, 0.05, level), EnergyParams(), cfg)
+        assert tr.verdict == "stalled"
+        errors.append(abs(tr.rows[-1].energy - 4.0 * np.pi) / (4.0 * np.pi))
+    assert errors[1] < errors[0]

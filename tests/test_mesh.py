@@ -453,6 +453,7 @@ _ACCEPTED = [
     ("off", "# header\nOFF # kind\n\n3 1 0\n0 0 0 # origin\n1\t0 0 255 0 0\n0 1 0\n"
             "3 0 1 2 255 0 0\n", _TRI_VERTS, [[0, 1, 2]]),
     ("off", _OFF_TRI.replace("\n", "\r\n") + "3\t0 1 2\r\n", _TRI_VERTS, [[0, 1, 2]]),
+    ("off", _OFF_TRI.replace("3 1 0", "+3 +1 0") + "3 0 1 2\n", _TRI_VERTS, [[0, 1, 2]]),
 ]
 
 
@@ -473,10 +474,25 @@ def test_reader_rejections_name_message_and_line(tmp_path, ext, text, message, l
 @pytest.mark.parametrize("ext, text, message, line", [
     ("obj", "v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1 2 3\n", "bad vertex line", 2),
     ("obj", _OBJ_TRI + "f 1 2 0_3\n", "bad face index", 4),
-    ("off", _OFF_TRI + "3 0 1 0_2\n", "bad face index", 6)])
+    ("off", _OFF_TRI + "3 0 1 0_2\n", "bad face index", 6),
+    ("off", _OFF_TRI.replace("3 1 0", "3_0 1 0") + "3 0 1 2\n",
+     "bad OFF counts line", 2),
+    ("off", _OFF_TRI.replace("3 1 0", "3 0_1 0") + "3 0 1 2\n",
+     "bad OFF counts line", 2)])
 def test_reader_rejects_digit_separators(tmp_path, ext, text, message, line):
-    # Python's float() and int() accept "1_0"; the reader's numpy parse does not.
+    # Python's float() and int() accept "1_0"; the reader's numpy parse, and
+    # the OFF counts line, which takes the same integer tokens, do not.
     _assert_rejected(tmp_path, ext, text, message, line)
+
+
+@pytest.mark.parametrize("ext, text, line", [
+    ("obj", "v 0 0 1\nv 0 0 0\nv 1 0 0\nv 2 0 0\n"
+            "f 1 3 2\nf 1 2 4\nf 2 3 4\nf 1 4 3\n", 7),
+    ("off", "OFF\n4 4 6\n0 0 1\n0 0 0\n1 0 0\n2 0 0\n"
+            "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n", 9)])
+def test_reader_rejects_zero_area_face(tmp_path, ext, text, line):
+    # Vertices 1, 2 and 3 (0-based) are collinear: face 2 has zero area.
+    _assert_rejected(tmp_path, ext, text, "face 2 (0-based) has zero area", line)
 
 
 def test_reader_rejects_coordinates_whose_areas_overflow(tmp_path):
