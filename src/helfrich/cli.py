@@ -246,16 +246,18 @@ def _cmd_energy_eval(v):
     if not hasattr(source, "vertices"):
         grid = QuadratureGrid.for_surface(source, v["quad_u"], v["quad_v"])
     report = evaluate_energies(source, _params(v), grid=grid)
-    write_json(_out(v, "energy_summary.json"), report.to_json_dict())
+    write_json(_out(v, "energy_summary.json"), report.to_json_dict(), report.counters)
     return EXIT_OK
 
 
 def _cmd_residual(v):
     source = _source(v)
+    meta = {}
     if hasattr(source, "vertices"):
         bundle = curvature_bundle(source)       # one pass for both tables
         field = _mesh_residual(source, bundle, _params(v))
         _write_bundle_csv(source, bundle, _out(v, "curvature_bundle.csv"))
+        meta = bundle.counters()
     else:
         grid = QuadratureGrid.for_surface(source, v["quad_u"], v["quad_v"])
         field = el_residual(source, _params(v), grid=grid)
@@ -263,7 +265,7 @@ def _cmd_residual(v):
     write_json(_out(v, "residual_summary.json"), {
         "l2": field.l2, "linf": field.linf, "rms": field.rms,
         "source": field.source_kind,
-        "interior_points": int(field.interior.sum())})
+        "interior_points": int(field.interior.sum())}, meta)
     return EXIT_OK
 
 

@@ -6,12 +6,18 @@ round sphere of radius rho has H = +2/rho; K is the angle defect over the
 mixed Voronoi vertex area; |A degree|^2 is recovered algebraically as
 max(0, H^2/2 - 2K).  Boundary vertices carry NaN curvatures and are flagged
 out of the interior mask.
+
+Every operator here runs one face-geometry pass, ``_face_data``: the
+Meyer-Desbrun-Schroeder-Barr cotangents, corner angles and mixed Voronoi
+areas, computed on contiguous coordinate columns of length F and scattered
+onto the vertices with 1-D ``bincount`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +37,7 @@ class CurvatureBundle:
     tracefree_raw: np.ndarray      # H^2/2 - 2K, unclamped
     laplace_mean_curvature: np.ndarray  # cotangent Laplacian of H
     interior: np.ndarray           # bool mask, False on boundary vertices
+    obtuse_faces: int              # faces on the obtuse-triangle area fallback
 
     # The clamped value and its statistics are worked out when read: the
     # residual-descent objective evaluates thousands of bundles and reads
@@ -61,6 +68,11 @@ class CurvatureBundle:
         n = int(self.interior.sum())
         return self.clamp_count / n if n else 0.0
 
+    def counters(self):
+        """Tracefree-clamp statistics and the obtuse-fallback face count."""
+        return {"clamp_count": self.clamp_count, "clamp_fraction": self.clamp_fraction,
+                "clamp_max": self.clamp_max, "obtuse_faces": self.obtuse_faces}
+
 
 @dataclass
 class SparseOperator:
@@ -70,93 +82,98 @@ class SparseOperator:
     mass: np.ndarray
 
 
-def _scatter_add(n, idx, values):
-    """Sum `values` into an array of length n at `idx` (vector-valued ok)."""
-    if values.ndim == 1:
-        return np.bincount(idx, weights=values, minlength=n)
-    out = np.empty((n, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(idx, weights=values[:, c], minlength=n)
-    return out
+class FacePass(NamedTuple):
+    """Per-face columns of one face-geometry pass; each triple holds the
+    columns of corners 0, 1 and 2."""
+
+    corners: np.ndarray     # (3, F) vertex index of corner k in row k
+    cots: list              # cotangent of the corner angle
+    angles: list            # corner angle
+    voronoi: list           # the corner's mixed Voronoi area
+    normal: tuple           # (p1 - p0) x (p2 - p0): outward, length 2 * area
+    obtuse_faces: int       # faces on the obtuse-triangle area fallback
 
 
-def _face_data(mesh: TriangleMesh):
-    """Cotangents, areas, corner angles and mixed-Voronoi contributions."""
-    p0, p1, p2 = mesh.face_corner_positions()
-    e0 = p2 - p1   # opposite corner 0
-    e1 = p0 - p2
-    e2 = p1 - p0
-    cross = np.cross(e2, -e1)          # (p1-p0) x (p2-p0), outward
-    double_area = np.linalg.norm(cross, axis=1)
+def _face_data(mesh: TriangleMesh) -> FacePass:
+    """The face-geometry pass on coordinate columns of length F.
+
+    The arithmetic repeats the operation order of ``np.cross``, ``np.einsum``
+    and ``np.linalg.norm`` on (F, 3) blocks, so every value is bitwise what
+    those give.
+    """
+    corners = np.ascontiguousarray(mesh.faces.T)
+    x, y, z = np.ascontiguousarray(mesh.vertices.T)
+    # ex[k], ey[k], ez[k]: the edge opposite corner k, p[k + 2] - p[k + 1]
+    ex, ey, ez = ([p[2] - p[1], p[0] - p[2], p[1] - p[0]]
+                  for p in ([c[f] for f in corners] for c in (x, y, z)))
+    nx = ez[2] * ey[1] - ey[2] * ez[1]     # e2 x -e1
+    ny = ex[2] * ez[1] - ez[2] * ex[1]
+    nz = ey[2] * ex[1] - ex[2] * ey[1]
+    double_area = np.sqrt((nx * nx + ny * ny) + nz * nz)
     area = 0.5 * double_area
 
     bad = area <= DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2
     if bad.any():
         raise OperatorError(f"degenerate face {int(np.nonzero(bad)[0][0])}")
 
-    # cot of the angle at each corner
-    d0 = np.einsum("ij,ij->i", -e1, e2)    # (p0->p2).(p0->p1) ... at corner 0
-    d1 = np.einsum("ij,ij->i", -e2, e0)
-    d2 = np.einsum("ij,ij->i", -e0, e1)
-    cots = np.stack([d0, d1, d2], axis=1) / double_area[:, None]
+    # numpy's einsum sums a 3-vector dot product as (x + z) + y; keep its order.
+    def dot(a, b):
+        return (ex[a] * ex[b] + ez[a] * ez[b]) + ey[a] * ey[b]
 
-    angles = np.arctan2(double_area[:, None],
-                        np.stack([d0, d1, d2], axis=1))
+    # The edges leaving corner k are e[k + 2] and -e[k + 1].
+    dots = [-dot((k + 1) % 3, (k + 2) % 3) for k in range(3)]
+    cots = [d / double_area for d in dots]
+    angles = [np.arctan2(double_area, d) for d in dots]
 
-    # Meyer mixed Voronoi area per corner.
-    l0 = np.einsum("ij,ij->i", e0, e0)      # squared edge lengths
-    l1 = np.einsum("ij,ij->i", e1, e1)
-    l2 = np.einsum("ij,ij->i", e2, e2)
-    voronoi = np.empty((len(area), 3))
-    voronoi[:, 0] = (l2 * cots[:, 2] + l1 * cots[:, 1]) / 8.0
-    voronoi[:, 1] = (l0 * cots[:, 0] + l2 * cots[:, 2]) / 8.0
-    voronoi[:, 2] = (l1 * cots[:, 1] + l0 * cots[:, 0]) / 8.0
-    obtuse = cots < 0.0
-    any_obtuse = obtuse.any(axis=1)
-    half = np.where(obtuse, 0.5, 0.25) * area[:, None]
-    voronoi[any_obtuse] = half[any_obtuse]
+    # Meyer mixed Voronoi area per corner, from the squared edge lengths.
+    weighted = [dot(k, k) * cots[k] for k in range(3)]
+    voronoi = [(weighted[(k + 2) % 3] + weighted[(k + 1) % 3]) / 8.0 for k in range(3)]
+    obtuse = [c < 0.0 for c in cots]
+    fallback = obtuse[0] | obtuse[1] | obtuse[2]
+    if fallback.any():
+        for v, o in zip(voronoi, obtuse):
+            v[fallback] = np.where(o[fallback], 0.5, 0.25) * area[fallback]
 
-    return cots, area, cross, angles, voronoi
+    return FacePass(corners, cots, angles, voronoi, (nx, ny, nz),
+                    int(fallback.sum()))
 
 
-def _mixed_area_and_normals(mesh, cross, voronoi):
-    V = mesh.n_vertices
-    areas = _scatter_add(V, mesh.faces.reshape(-1), voronoi.reshape(-1))
-    # area-weighted outward face normals (cross already carries the weight)
-    acc = np.zeros((V, 3))
-    for c in range(3):
-        acc += _scatter_add(V, mesh.faces[:, c], cross)
-    norms = np.linalg.norm(acc, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    inward = -acc / norms
-    return areas, inward
+def _corner_sum(mesh, columns):
+    """Sum three per-corner columns onto the vertices, in face order."""
+    return np.bincount(mesh.faces.reshape(-1),
+                       weights=np.stack(columns, axis=1).reshape(-1),
+                       minlength=mesh.n_vertices)
 
 
-def _edge_arrays(mesh, cots):
+def _edges(fp):
     """Per-face-edge (i, j, w) with w = cot(opposite corner) / 2."""
-    f = mesh.faces
-    i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-    j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-    w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
-    return i, j, w
+    f = fp.corners
+    return (np.concatenate([f[1], f[2], f[0]]), np.concatenate([f[2], f[0], f[1]]),
+            0.5 * np.concatenate(fp.cots))
 
 
 def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
     """Vectorized cotangent/angle-defect curvature estimate at every vertex,
     with the Laplacian of H from the same face-geometry pass."""
-    cots, area, cross, angles, voronoi = _face_data(mesh)
+    fp = _face_data(mesh)
     V = mesh.n_vertices
-    areas, inward = _mixed_area_and_normals(mesh, cross, voronoi)
+    areas = _corner_sum(mesh, fp.voronoi)
+    # Area-weighted outward normals, summed one corner at a time.
+    f0, f1, f2 = fp.corners
+    ax, ay, az = ((np.bincount(f0, n, V) + np.bincount(f1, n, V)) + np.bincount(f2, n, V)
+                  for n in fp.normal)
+    norms = np.sqrt((ax * ax + ay * ay) + az * az)
+    norms[norms == 0] = 1.0
+    nx, ny, nz = -ax / norms, -ay / norms, -az / norms
 
-    i, j, w = _edge_arrays(mesh, cots)
-    pos = mesh.vertices
-    flux = w[:, None] * (pos[j] - pos[i])
-    lap_pos = _scatter_add(V, i, flux) + _scatter_add(V, j, -flux)
+    i, j, w = _edges(fp)
+    lx, ly, lz = (np.bincount(i, weights=flux, minlength=V)
+                  + np.bincount(j, weights=-flux, minlength=V)
+                  for flux in (w * (c[j] - c[i])
+                               for c in np.ascontiguousarray(mesh.vertices.T)))
+    H = ((lx * nx + lz * nz) + ly * ny) / areas
 
-    H = np.einsum("ij,ij->i", lap_pos, inward) / areas
-
-    defect = 2.0 * np.pi - _scatter_add(V, mesh.faces.reshape(-1), angles.reshape(-1))
-    K = defect / areas
+    K = (2.0 * np.pi - _corner_sum(mesh, fp.angles)) / areas
 
     interior = ~mesh.boundary_vertex
     H[mesh.boundary_vertex] = np.nan
@@ -164,23 +181,26 @@ def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
 
     raw = 0.5 * H * H - 2.0 * K
     d = w * (H[j] - H[i])
-    lap_H = (_scatter_add(V, i, d) + _scatter_add(V, j, -d)) / areas
+    lap_H = (np.bincount(i, d, V) + np.bincount(j, -d, V)) / areas
     return CurvatureBundle(
-        vertex_area=areas, normal=inward, mean_curvature=H, gauss_curvature=K,
-        tracefree_raw=raw, laplace_mean_curvature=lap_H, interior=interior)
+        vertex_area=areas, normal=np.stack([nx, ny, nz], axis=1),
+        mean_curvature=H, gauss_curvature=K, tracefree_raw=raw,
+        laplace_mean_curvature=lap_H, interior=interior,
+        obtuse_faces=fp.obtuse_faces)
 
 
 def cotan_operator(mesh: TriangleMesh) -> SparseOperator:
     """Cotangent stiffness (row sums 0, symmetric) with mixed-Voronoi mass."""
-    cots, area, cross, angles, voronoi = _face_data(mesh)
+    fp = _face_data(mesh)
     V = mesh.n_vertices
-    areas, _ = _mixed_area_and_normals(mesh, cross, voronoi)
-    i, j, w = _edge_arrays(mesh, cots)
+    mass = _corner_sum(mesh, fp.voronoi)
+    i, j, w = _edges(fp)
+    del fp      # free the face columns before the sparse assembly's peak
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([j, i, i, j])
     vals = np.concatenate([w, w, -w, -w])
     stiffness = sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
-    return SparseOperator(stiffness=stiffness, mass=areas)
+    return SparseOperator(stiffness=stiffness, mass=mass)
 
 
 def laplace_field(op: SparseOperator, field) -> np.ndarray:
@@ -194,8 +214,8 @@ def laplace_field(op: SparseOperator, field) -> np.ndarray:
 
 def angle_defect_total(mesh: TriangleMesh) -> float:
     """Sum of vertex angle defects; equals 2 pi chi on closed meshes."""
-    _, _, _, angles, _ = _face_data(mesh)
-    defect = 2.0 * np.pi * mesh.n_vertices - angles.sum()
+    angles = _face_data(mesh).angles
+    defect = 2.0 * np.pi * mesh.n_vertices - np.stack(angles, axis=1).sum()
     if not mesh.closed:
         # boundary vertices have defect pi - angle sum under the usual
         # Gauss-Bonnet bookkeeping; callers on open meshes handle this

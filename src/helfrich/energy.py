@@ -4,7 +4,7 @@ Willmore total, and the tracefree curvature gap quantity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class EnergyReport:
     gap: float                    # integral of |A deg|^2
     breakdown: dict
     closed: bool
+    counters: dict = field(default_factory=dict)   # a mesh's curvature counts
 
     def to_json_dict(self):
         return {"area": self.area, "volume": self.volume,
@@ -94,8 +95,10 @@ def _mesh_energies(mesh: TriangleMesh, params: EnergyParams) -> EnergyReport:
     willmore = 0.25 * float((H * H * a).sum())
     bending = 0.25 * float(((H - params.c0) ** 2 * a).sum())
     gap = float((bundle.tracefree_sq[m] * a).sum())
-    return _assemble_report(ints["area"], ints["signed_volume"], willmore,
-                            bending, gap, params, mesh.closed)
+    report = _assemble_report(ints["area"], ints["signed_volume"], willmore,
+                              bending, gap, params, mesh.closed)
+    report.counters = bundle.counters()
+    return report
 
 
 def _oracle_energies(surface: ParametricSurface, params: EnergyParams,

@@ -190,14 +190,13 @@ class TriangleMesh:
     def bbox_diagonal(self):
         if self.n_vertices == 0:
             return 0.0
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        columns = np.ascontiguousarray(self.vertices.T)   # row-wise min/max is faster
+        span = columns.max(axis=1) - columns.min(axis=1)
         return float(np.linalg.norm(span))
 
     def face_corner_positions(self):
         """(F, 3) position triples (p0, p1, p2) in face order."""
-        return (self.vertices[self.faces[:, 0]],
-                self.vertices[self.faces[:, 1]],
-                self.vertices[self.faces[:, 2]])
+        return tuple(self.vertices.take(self.faces.T, axis=0))
 
     def face_areas(self):
         p0, p1, p2 = self.face_corner_positions()

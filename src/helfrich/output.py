@@ -12,7 +12,6 @@ A table is written one sequence per column.  Floats are ``repr`` values
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
@@ -43,17 +42,27 @@ def write_json(path, result, meta=None):
         fh.write("\n")
 
 
+def _quoted(text):
+    """``text`` as a CSV cell: quoted, with quotes doubled, if it holds a
+    comma, a quote or a line break."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cells(column):
+    """The column's cells as strings: float ``repr``, ints for ints and
+    bools, ``str`` of anything else and an empty cell for ``None``."""
     a = np.asarray(column)
     if a.dtype.kind == "f":
         return map(repr, a.tolist())
     if a.dtype.kind in "biu":
-        return a.astype(np.int64).tolist()
-    return a.tolist()
+        return map(str, a.astype(np.int64).tolist())
+    return ["" if x is None else _quoted(str(x)) for x in a.tolist()]
 
 
 def write_csv(path, header, columns):
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*map(_cells, columns), strict=True))
+        fh.write(",".join(map(_quoted, header)) + "\n")
+        fh.writelines(row + "\n" for row in rows)

@@ -306,3 +306,26 @@ def test_residual_mesh_runs_one_curvature_pass(tmp_path, monkeypatch):
                 "--out", str(tmp_path)]) == EXIT_OK
     assert len(calls) == 1
     assert (tmp_path / "curvature_bundle.csv").exists()
+
+
+@pytest.mark.parametrize("command, summary", [("residual", "residual_summary.json"),
+                                              ("energy-eval", "energy_summary.json")])
+def test_mesh_summary_meta_counts_clamps_and_obtuse_faces(tmp_path, monkeypatch,
+                                                          command, summary):
+    import helfrich.curvature as curvature
+    from helfrich.mesh import load_mesh
+
+    assert run(["mesh-make", "--kind", "catenoid", "--grid-u", "24", "--grid-v", "16",
+                "--out", str(tmp_path), "--mesh-out", "cat.off"]) == EXIT_OK
+    path = str(tmp_path / "cat.off")
+    bundle = curvature.curvature_bundle(load_mesh(path))
+    calls = []
+    real = curvature._face_data
+    monkeypatch.setattr(curvature, "_face_data", lambda m: calls.append(m) or real(m))
+    assert run([command, "--mesh", path, "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+    meta = json.loads((tmp_path / summary).read_text())["meta"]
+    assert meta == {"clamp_count": bundle.clamp_count,
+                    "clamp_fraction": bundle.clamp_fraction,
+                    "clamp_max": bundle.clamp_max, "obtuse_faces": bundle.obtuse_faces}
+    assert meta["obtuse_faces"] > 0

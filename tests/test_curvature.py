@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import helfrich as hf
 from helfrich.curvature import (
@@ -163,3 +164,100 @@ def test_mixed_voronoi_tiles_surface():
     m = hf.perturbed_sphere(1.0, 0.15, 3)
     b = curvature_bundle(m)
     assert np.isclose(b.vertex_area.sum(), hf.mesh_integrals(m)["area"], rtol=1e-12)
+
+
+# -- the column-wise face pass against the (F, 3) formulation -------------------
+
+def _reference_bundle(mesh):
+    """The curvature pass written on (F, 3) blocks with np.cross, einsum and
+    linalg.norm; the column-wise kernel must reproduce it bitwise."""
+    V, f = mesh.n_vertices, mesh.faces
+    p0, p1, p2 = (mesh.vertices[f[:, k]] for k in range(3))
+    e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
+    cross = np.cross(e2, -e1)
+    double_area = np.linalg.norm(cross, axis=1)
+    area = 0.5 * double_area
+    bad = area <= hf.mesh.DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2
+    if bad.any():
+        raise OperatorError(f"degenerate face {int(np.nonzero(bad)[0][0])}")
+    dots = np.stack([np.einsum("ij,ij->i", -e1, e2), np.einsum("ij,ij->i", -e2, e0),
+                     np.einsum("ij,ij->i", -e0, e1)], axis=1)
+    cots = dots / double_area[:, None]
+    angles = np.arctan2(double_area[:, None], dots)
+    l0, l1, l2 = (np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2))
+    voronoi = np.stack([l2 * cots[:, 2] + l1 * cots[:, 1], l0 * cots[:, 0] + l2 * cots[:, 2],
+                        l1 * cots[:, 1] + l0 * cots[:, 0]], axis=1) / 8.0
+    obtuse = cots < 0.0
+    fallback = obtuse.any(axis=1)
+    voronoi[fallback] = (np.where(obtuse, 0.5, 0.25) * area[:, None])[fallback]
+
+    def scatter(idx, values):
+        return np.stack([np.bincount(idx, weights=values[:, c], minlength=V)
+                         for c in range(values.shape[1])], axis=1)
+
+    areas = np.bincount(f.reshape(-1), weights=voronoi.reshape(-1), minlength=V)
+    acc = np.zeros((V, 3))
+    for c in range(3):
+        acc += scatter(f[:, c], cross)
+    norms = np.linalg.norm(acc, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    inward = -acc / norms
+    i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
+    j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
+    w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
+    flux = w[:, None] * (mesh.vertices[j] - mesh.vertices[i])
+    H = np.einsum("ij,ij->i", scatter(i, flux) + scatter(j, -flux), inward) / areas
+    K = (2.0 * np.pi - np.bincount(f.reshape(-1), weights=angles.reshape(-1),
+                                   minlength=V)) / areas
+    H[mesh.boundary_vertex] = np.nan
+    K[mesh.boundary_vertex] = np.nan
+    d = w * (H[j] - H[i])
+    stiffness = sp.coo_matrix((np.concatenate([w, w, -w, -w]),
+                               (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
+                              shape=(V, V)).tocsr()
+    return {
+        "vertex_area": areas, "normal": inward, "mean_curvature": H,
+        "gauss_curvature": K, "tracefree_raw": 0.5 * H * H - 2.0 * K,
+        "laplace_mean_curvature": (np.bincount(i, d, V) + np.bincount(j, -d, V)) / areas,
+        "interior": ~mesh.boundary_vertex, "obtuse_faces": int(fallback.sum()),
+        "stiffness": stiffness}
+
+
+def _sheared_sphere():
+    m = hf.icosphere(1.0, 3)
+    v = m.vertices * [1.0, 1.0, 0.15]
+    v[:, 0] += 0.7 * v[:, 1]
+    return hf.TriangleMesh(v, m.faces)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda level=level: hf.perturbed_sphere(2.0, 0.2, level) for level in (1, 2, 3)),
+    lambda: hf.catenoid_mesh(1.0, 2.0, (24, 16)),
+    lambda: hf.flat_patch((12, 12)),
+    _sheared_sphere,
+], ids=["sphere_L1", "sphere_L2", "sphere_L3", "catenoid", "flat", "sheared"])
+def test_face_pass_matches_reference_bitwise(make):
+    m = make()
+    ref = _reference_bundle(m)
+    b = curvature_bundle(m)
+    for name in ("vertex_area", "normal", "mean_curvature", "gauss_curvature",
+                 "tracefree_raw", "laplace_mean_curvature", "interior"):
+        assert np.array_equal(getattr(b, name), ref[name], equal_nan=True), name
+    assert b.obtuse_faces == ref["obtuse_faces"]
+    op = cotan_operator(m)
+    assert np.array_equal(op.mass, ref["vertex_area"])
+    assert (op.stiffness != ref["stiffness"]).nnz == 0
+    assert np.array_equal(op.stiffness.data, ref["stiffness"].data)
+
+
+def test_degenerate_face_index_matches_reference():
+    m = hf.icosphere(1.0, 2)
+    verts = m.vertices.copy()
+    verts[m.faces[37, 2]] = verts[m.faces[37, 0]]
+    bad = hf.TriangleMesh(verts, m.faces)
+    with pytest.raises(OperatorError) as ref:
+        _reference_bundle(bad)
+    for op in (curvature_bundle, cotan_operator, angle_defect_total):
+        with pytest.raises(OperatorError) as got:
+            op(bad)
+        assert str(got.value) == str(ref.value)

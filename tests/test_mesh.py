@@ -554,3 +554,12 @@ def test_parser_fuzz_raises_only_mesh_input_error(tmp_path_factory, ext, data):
     except MeshInputError:
         return
     assert m.n_faces > 0 and m.faces.max() < m.n_vertices
+
+
+def test_face_corner_positions_and_bbox_exact():
+    m = hf.perturbed_sphere(2.0, 0.2, 3)
+    for k, p in enumerate(m.face_corner_positions()):
+        assert p.flags.c_contiguous
+        assert np.array_equal(p, m.vertices[m.faces[:, k]])
+    span = m.vertices.max(axis=0) - m.vertices.min(axis=0)
+    assert m.bbox_diagonal() == float(np.linalg.norm(span))
