@@ -11,7 +11,7 @@ import numpy as np
 from .analytic import ParametricSurface, QuadratureGrid, enclosed_volume, oracle_integrate
 from .curvature import curvature_bundle
 from .errors import UndefinedFunctionalError
-from .mesh import TriangleMesh, mesh_integrals
+from .mesh import TriangleMesh, signed_volume
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,16 @@ def _assemble_report(area, volume, willmore, bending, gap, params, closed):
 
 def _mesh_energies(mesh: TriangleMesh, params: EnergyParams) -> EnergyReport:
     bundle = curvature_bundle(mesh)
-    ints = mesh_integrals(mesh)
+    area = bundle.surface_area
+    volume = signed_volume(mesh) if mesh.closed else None
     m = bundle.interior
     a = bundle.vertex_area[m]
     H = bundle.mean_curvature[m]
     willmore = 0.25 * float((H * H * a).sum())
     bending = 0.25 * float(((H - params.c0) ** 2 * a).sum())
     gap = float((bundle.tracefree_sq[m] * a).sum())
-    report = _assemble_report(ints["area"], ints["signed_volume"], willmore,
-                              bending, gap, params, mesh.closed)
+    report = _assemble_report(area, volume, willmore, bending, gap, params,
+                              mesh.closed)
     report.counters = bundle.counters()
     return report
 

@@ -35,19 +35,32 @@ entry, so a greedy distance-4 coloring, computed once per flow since
 connectivity never changes, lets every vertex of one color move in the same
 pair of residual evaluations.  A step costs 2 x colors evaluations (34 colors
 on the level-2 icosphere, 39 from level 3 on) instead of 2V, and its damped
-normal equations are solved by a sparse LU factorization.
+normal equations are solved by a sparse LU factorization.  The 2 x colors
+perturbed meshes share the connectivity, so they go through the curvature
+pass as stacked positions, JACOBIAN_BLOCK_FACES faces' worth at a time
+(12 meshes at level 2, 3 at level 3): on meshes that small the cost of one
+pass is mostly per-call overhead, and one block is far cheaper than its
+meshes one by one.  One stack of all 68 level-2 meshes was no faster and
+raised the flow's peak memory by about 7 MB.
 
 Both engines share one Armijo line search, parametrized by the largest
 vertex displacement and warm-started: its first trial moves no vertex
 farther than initial_step, nor farther than WARM_START_FACTOR times the
 previous accepted displacement, so a flow whose steps have shrunk does not
 spend its evaluations halving down from initial_step on every iteration.
+
+The summary's meta reports the seconds of each phase (PHASES): the
+derivative (the Jacobian, or the energy's assembled gradient), the solve
+(for energy descent the operator, the metric and its factorization), the
+line search including the starting objective, and trace recording.
+Together they cover the run's wall time but for loop bookkeeping.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +74,7 @@ from .curvature import cotan_operator, curvature_bundle
 from .curvature import _face_data  # noqa: F401
 from .energy import EnergyParams
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
-from .mesh import TriangleMesh, mesh_integrals, validate
+from .mesh import TriangleMesh, signed_volume, validate
 from .output import write_csv, write_json
 from .variation import FD_STEP_REL, _mesh_residual, el_residual, mesh_energy
 
@@ -74,6 +87,8 @@ WARM_START_FACTOR = 4.0      # first trial <= this x last accepted displacement
 SUFFICIENT_DECREASE = 1e-4   # Armijo constant
 STEP_TOL = 1e-14             # smallest attempted vertex displacement
 SOBOLEV_SIGMA0 = 0.006       # H^2 weight sigma / (area / 4 pi)^2
+JACOBIAN_BLOCK_FACES = 4096  # meshes x faces of one stacked Jacobian pass
+PHASES = ("jacobian_s", "solve_s", "line_search_s", "record_s")
 
 
 @dataclass
@@ -161,12 +176,13 @@ class FlowTrace:
                    {"wall_time_s": self.wall_time, **self.meta})
 
 
-def _weighted_residual(bundle, params):
+def _weighted_residual(bundle, params, row=...):
     """sqrt(area) * unclamped residual, so that its squared norm is the
-    objective."""
-    r = residual_values(bundle.laplace_mean_curvature, bundle.mean_curvature,
-                        bundle.gauss_curvature, bundle.tracefree_raw, params)
-    return np.sqrt(bundle.vertex_area) * r
+    objective; ``row`` picks one mesh of a stacked bundle."""
+    r = residual_values(bundle.laplace_mean_curvature[row],
+                        bundle.mean_curvature[row], bundle.gauss_curvature[row],
+                        bundle.tracefree_raw[row], params)
+    return np.sqrt(bundle.vertex_area[row]) * r
 
 
 def _residual_objective(mesh, params):
@@ -202,6 +218,21 @@ def _jacobian_coloring(mesh):
     return ring2.indptr, ring2.indices, np.array(colors)
 
 
+class _PhaseClock:
+    """Seconds spent in each of PHASES."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+
+    @contextmanager
+    def __call__(self, phase):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] += time.perf_counter() - t0
+
+
 class _ResidualEngine:
     """Damped Gauss-Newton steps on the squared-residual objective."""
 
@@ -209,15 +240,16 @@ class _ResidualEngine:
         self.params = params
         self.mu = 1e-3
         self.evaluations = 0
-        self.indptr, self.indices, colors = _jacobian_coloring(mesh)
-        self.members = [np.flatnonzero(colors == c)
-                        for c in range(int(colors.max()) + 1)]
+        self.clock = _PhaseClock()
+        self.indptr, self.indices, self.colors = _jacobian_coloring(mesh)
+        self.members = [np.flatnonzero(self.colors == c)
+                        for c in range(int(self.colors.max()) + 1)]
         # Color of the column each stored entry of J belongs to.
-        self.entry_color = np.repeat(colors, np.diff(self.indptr))
+        self.entry_color = np.repeat(self.colors, np.diff(self.indptr))
 
-    def _rho(self, bundle):
+    def _rho(self, bundle, row=...):
         self.evaluations += 1
-        return _weighted_residual(bundle, self.params)
+        return _weighted_residual(bundle, self.params, row)
 
     def objective(self, mesh):
         self.evaluations += 1
@@ -226,41 +258,51 @@ class _ResidualEngine:
     def jacobian(self, mesh, normals):
         """Central differences of the weighted residual along the vertex
         normals, every vertex of one color perturbed in the same pair of
-        evaluations; a sparse (V, V) CSC matrix."""
+        evaluations; a sparse (V, V) CSC matrix.
+
+        The perturbed positions are rows (plus_0, minus_0, plus_1, ...) of
+        one (2 x colors, V, 3) stack, which goes through the face pass in
+        blocks of about JACOBIAN_BLOCK_FACES faces.
+        """
         h = FD_STEP_REL * mesh.bbox_diagonal()
-        base = mesh.vertices
-        diff = np.empty((len(self.members), mesh.n_vertices))
-        for c, members in enumerate(self.members):
-            step = h * normals[members]
-            plus = base.copy()
-            plus[members] += step
-            minus = base.copy()
-            minus[members] -= step
-            diff[c] = (self._rho(curvature_bundle(mesh.with_positions(plus)))
-                       - self._rho(curvature_bundle(mesh.with_positions(minus)))
-                       ) / (2.0 * h)
+        V = mesh.n_vertices
+        n_rows = 2 * len(self.members)
+        base, step = mesh.vertices, h * normals
+        stack = np.empty((n_rows, V, 3))
+        stack[:] = base
+        vertex = np.arange(V)
+        stack[2 * self.colors, vertex] = base + step
+        stack[2 * self.colors + 1, vertex] = base - step
+        rho = np.empty((n_rows, V))
+        block = max(1, JACOBIAN_BLOCK_FACES // mesh.n_faces)
+        for start in range(0, n_rows, block):
+            bundle = curvature_bundle(mesh, stack[start:start + block])
+            for k in range(len(bundle.vertex_area)):
+                rho[start + k] = self._rho(bundle, k)
+        diff = (rho[0::2] - rho[1::2]) / (2.0 * h)
         return sp.csc_matrix((diff[self.entry_color, self.indices],
-                              self.indices, self.indptr),
-                             shape=(mesh.n_vertices, mesh.n_vertices))
+                              self.indices, self.indptr), shape=(V, V))
 
     def direction(self, mesh):
-        bundle = curvature_bundle(mesh)
-        rho0 = self._rho(bundle)
-        normals = bundle.normal
-        J = self.jacobian(mesh, normals)
-        Jt_rho = J.T @ rho0
-        g = 2.0 * Jt_rho
-        JtJ = J.T @ J
-        damp = self.mu * np.maximum(JtJ.diagonal(), 1e-30)
-        # Symmetric positive definite: symmetric ordering, no pivoting.
-        lu = splu((JtJ + sp.diags(damp)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        coeff = lu.solve(-Jt_rho)
-        slope = -float(g @ coeff)
-        if slope <= 0.0:          # fall back to plain steepest descent
-            coeff = -g
-            slope = float(g @ g)
-        return coeff[:, None] * normals, slope, float(np.linalg.norm(g))
+        with self.clock("jacobian_s"):
+            bundle = curvature_bundle(mesh)
+            rho0 = self._rho(bundle)
+            normals = bundle.normal
+            J = self.jacobian(mesh, normals)
+        with self.clock("solve_s"):
+            Jt_rho = J.T @ rho0
+            g = 2.0 * Jt_rho
+            JtJ = J.T @ J
+            damp = self.mu * np.maximum(JtJ.diagonal(), 1e-30)
+            # Symmetric positive definite: symmetric ordering, no pivoting.
+            lu = splu((JtJ + sp.diags(damp)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            coeff = lu.solve(-Jt_rho)
+            slope = -float(g @ coeff)
+            if slope <= 0.0:          # fall back to plain steepest descent
+                coeff = -g
+                slope = float(g @ g)
+            return coeff[:, None] * normals, slope, float(np.linalg.norm(g))
 
     def feedback(self, backtracks):
         self.mu = min(self.mu * 3.0, 1e8) if backtracks else max(self.mu * 0.3, 1e-12)
@@ -276,6 +318,7 @@ class _EnergyEngine:
     def __init__(self, params):
         self.params = params
         self.evaluations = 0
+        self.clock = _PhaseClock()
 
     def objective(self, mesh):
         return mesh_energy(mesh, self.params)
@@ -285,19 +328,21 @@ class _EnergyEngine:
         the step, with g nu the assembled L^2 gradient; the returned norm is
         that gradient's, so grad_tol keeps its meaning."""
         self.evaluations += 1     # the assembled gradient is one residual
-        bundle = curvature_bundle(mesh)
-        field = _mesh_residual(mesh, bundle, self.params)
-        g = 0.5 * np.where(field.interior, field.values, 0.0) * field.areas
-        op = cotan_operator(mesh)
-        K, M = op.stiffness, op.mass
-        sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
-        metric = sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
-        # Symmetric positive definite: symmetric ordering, no pivoting.
-        lu = splu(metric.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        coeff = lu.solve(-g)
-        return (coeff[:, None] * bundle.normal, -float(g @ coeff),
-                float(np.linalg.norm(g[:, None] * bundle.normal)))
+        with self.clock("jacobian_s"):
+            bundle = curvature_bundle(mesh)
+            field = _mesh_residual(mesh, bundle, self.params)
+            g = 0.5 * np.where(field.interior, field.values, 0.0) * field.areas
+        with self.clock("solve_s"):
+            op = cotan_operator(mesh)
+            K, M = op.stiffness, op.mass
+            sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
+            metric = sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
+            # Symmetric positive definite: symmetric ordering, no pivoting.
+            lu = splu(metric.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            coeff = lu.solve(-g)
+            return (coeff[:, None] * bundle.normal, -float(g @ coeff),
+                    float(np.linalg.norm(g[:, None] * bundle.normal)))
 
     def feedback(self, backtracks):
         pass
@@ -325,11 +370,13 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     engine = (_ResidualEngine(params, mesh) if config.mode == "residual_descent"
               else _EnergyEngine(params))
 
+    clock = engine.clock
     t0 = time.perf_counter()
     rows = []
     verdict = "max_iters"
     message = "iteration cap reached"
 
+    @clock("record_s")
     def record(m, it, obj, step_size, accepted):
         field = el_residual(m, params)
         try:
@@ -338,13 +385,13 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
             center, radius, rms = (np.nan, np.nan, np.nan), np.nan, np.nan
         rows.append(FlowRow(
             iteration=it, objective=obj, energy=mesh_energy(m, params),
-            area=float(field.areas.sum()),
-            volume=mesh_integrals(m)["signed_volume"],
+            area=float(field.areas.sum()), volume=signed_volume(m),
             residual_l2=field.l2, residual_linf=field.linf, step_size=step_size,
             accepted=accepted, fit_center=tuple(center), fit_radius=radius,
             fit_rms=rms))
 
-    obj = engine.objective(mesh)
+    with clock("line_search_s"):
+        obj = engine.objective(mesh)
     evaluations = 1
     if not np.isfinite(obj):
         raise NumericalError("non-finite objective at iteration 0")
@@ -360,27 +407,28 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
 
         # Line search parametrized by the largest vertex displacement; the
         # first trial is the full model step when that is within the cap.
-        d_max = float(np.abs(direction).max())
-        s = 1.0 if d_max <= cap else cap / d_max
-        accepted = False
-        backtracks = 0
-        while s * d_max > STEP_TOL:
-            trial = mesh.with_positions(mesh.vertices + s * direction)
-            evaluations += 1
-            try:
-                trial_obj = engine.objective(trial)
-            except OperatorError as e:
-                verdict = "degenerate_mesh"
-                message = f"trial step: {e}"
-                break
-            # Armijo, held strict: once s * slope falls below the objective's
-            # roundoff, the Armijo bound alone admits an unchanged objective.
-            if np.isfinite(trial_obj) and trial_obj < obj and \
-                    trial_obj <= obj - SUFFICIENT_DECREASE * s * slope:
-                accepted = True
-                break
-            s *= BACKTRACK_FACTOR
-            backtracks += 1
+        with clock("line_search_s"):
+            d_max = float(np.abs(direction).max())
+            s = 1.0 if d_max <= cap else cap / d_max
+            accepted = False
+            backtracks = 0
+            while s * d_max > STEP_TOL:
+                trial = mesh.with_positions(mesh.vertices + s * direction)
+                evaluations += 1
+                try:
+                    trial_obj = engine.objective(trial)
+                except OperatorError as e:
+                    verdict = "degenerate_mesh"
+                    message = f"trial step: {e}"
+                    break
+                # Armijo, held strict: once s * slope falls below the objective's
+                # roundoff, the Armijo bound alone admits an unchanged objective.
+                if np.isfinite(trial_obj) and trial_obj < obj and \
+                        trial_obj <= obj - SUFFICIENT_DECREASE * s * slope:
+                    accepted = True
+                    break
+                s *= BACKTRACK_FACTOR
+                backtracks += 1
         if verdict == "degenerate_mesh":
             break
         if not accepted:
@@ -401,6 +449,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     meta = engine.counters()
     meta["residual_evaluations"] += len(rows)      # one el_residual per row
     meta["objective_evaluations"] = evaluations
+    meta.update(clock.seconds)
     return FlowTrace(verdict=verdict, iterations=it, rows=rows,
                      final_mesh=mesh, wall_time=time.perf_counter() - t0,
                      config=config, params=params, message=message, meta=meta)

@@ -301,20 +301,16 @@ def mesh_integrals(mesh: TriangleMesh) -> dict:
     The signed volume is the divergence-theorem determinant sum, positive for
     outward-oriented convex bodies; it is exact for polyhedra.
     """
-    area = float(mesh.face_areas().sum())
-    out = {"area": area, "euler_characteristic": mesh.euler_characteristic}
-    if mesh.closed:
-        p0, p1, p2 = mesh.face_corner_positions()
-        out["signed_volume"] = float(np.einsum("ij,ij->", p0, np.cross(p1, p2)) / 6.0)
-    else:
-        out["signed_volume"] = None
-    return out
+    return {"area": float(mesh.face_areas().sum()),
+            "euler_characteristic": mesh.euler_characteristic,
+            "signed_volume": signed_volume(mesh) if mesh.closed else None}
 
 
 def signed_volume(mesh: TriangleMesh) -> float:
     if not mesh.closed:
         raise TopologyError("signed volume requires a closed mesh")
-    return mesh_integrals(mesh)["signed_volume"]
+    p0, p1, p2 = mesh.face_corner_positions()
+    return float(np.einsum("ij,ij->", p0, np.cross(p1, p2)) / 6.0)
 
 
 # -- primitives ---------------------------------------------------------------

@@ -261,3 +261,64 @@ def test_degenerate_face_index_matches_reference():
         with pytest.raises(OperatorError) as got:
             op(bad)
         assert str(got.value) == str(ref.value)
+
+
+# -- stacked positions against one bundle per mesh -------------------------------
+
+BUNDLE_ARRAYS = ("vertex_area", "normal", "mean_curvature", "gauss_curvature",
+                 "tracefree_raw", "laplace_mean_curvature")
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _position_stack(mesh, rows, seed):
+    """rows position sets: the mesh's own, then seeded 1e-3 jitters of it."""
+    rng = np.random.default_rng(seed)
+    scale = 1e-3 * mesh.bbox_diagonal()
+    jitter = scale * rng.standard_normal((rows - 1, *mesh.vertices.shape))
+    return np.concatenate([mesh.vertices[None], mesh.vertices + jitter])
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda level=level: hf.perturbed_sphere(2.0, 0.2, level) for level in (1, 2, 3)),
+    lambda: hf.catenoid_mesh(1.0, 2.0, (24, 16)),
+    _sheared_sphere,
+], ids=["sphere_L1", "sphere_L2", "sphere_L3", "catenoid", "sheared"])
+def test_stacked_bundle_matches_per_mesh_bitwise(make):
+    m = make()
+    stack = _position_stack(m, 5, seed=m.n_vertices)
+    stacked = curvature_bundle(m, stack)
+    assert np.array_equal(stacked.interior, ~m.boundary_vertex)
+    obtuse = []
+    for b, positions in enumerate(stack):
+        single = curvature_bundle(m.with_positions(positions))
+        for name in BUNDLE_ARRAYS:
+            assert _bits(getattr(stacked, name)[b]) == _bits(getattr(single, name)), name
+        assert stacked.obtuse_faces[b] == single.obtuse_faces
+        assert _bits(stacked.surface_area[b]) == _bits(single.surface_area)
+        obtuse.append(single.obtuse_faces)
+    if make is _sheared_sphere:
+        assert min(obtuse) > 0          # the obtuse-triangle fallback ran
+    if not m.closed:
+        assert np.isnan(stacked.mean_curvature[:, m.boundary_vertex]).all()
+
+
+def test_stacked_degenerate_row_raises_like_first_failing_mesh():
+    m = hf.icosphere(1.0, 2)
+    stack = _position_stack(m, 4, seed=3)
+    for row, face in ((1, 37), (3, 5)):          # the later row has the lower face
+        stack[row, m.faces[face, 2]] = stack[row, m.faces[face, 0]]
+    first = None
+    for positions in stack:
+        try:
+            curvature_bundle(m.with_positions(positions))
+        except OperatorError as e:
+            first = str(e)
+            break
+    assert first == "degenerate face 37"
+    with pytest.raises(OperatorError) as got:
+        curvature_bundle(m, stack)
+    assert str(got.value) == first

@@ -99,3 +99,11 @@ def test_report_json_stable_keys():
 def test_invalid_params():
     with pytest.raises(ValueError):
         EnergyParams(c0=np.inf)
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_mesh_area_from_face_pass_equals_face_areas(level):
+    m = hf.perturbed_sphere(2.0, 0.1, level)
+    rep = evaluate_energies(m, EnergyParams(0.0, 1.0, -1.0))
+    assert rep.area == float(m.face_areas().sum())
+    assert rep.volume == hf.mesh_integrals(m)["signed_volume"]

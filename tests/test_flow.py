@@ -341,3 +341,40 @@ def test_energy_descent_willmore_error_falls_under_refinement():
         assert tr.verdict == "stalled"
         errors.append(abs(tr.rows[-1].energy - 4.0 * np.pi) / (4.0 * np.pi))
     assert errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_jacobian_stacks_its_face_passes(monkeypatch, level):
+    """2 x colors perturbed meshes in ceil(2C / rows) face passes, with rows
+    = JACOBIAN_BLOCK_FACES // F, and one residual evaluation per mesh."""
+    import helfrich.curvature as curvature
+
+    mesh = hf.perturbed_sphere(2.0, 0.05, level)
+    engine = flow._ResidualEngine(CRITICAL, mesh)
+    normals = curvature_bundle(mesh).normal
+    passes, copies = [], []
+    real_pass = curvature._face_data
+    real_copy = hf.TriangleMesh.with_positions
+    monkeypatch.setattr(curvature, "_face_data",
+                        lambda *args: passes.append(args) or real_pass(*args))
+    monkeypatch.setattr(hf.TriangleMesh, "with_positions",
+                        lambda self, v: copies.append(v) or real_copy(self, v))
+    engine.jacobian(mesh, normals)
+    n_rows = 2 * len(engine.members)
+    rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
+    assert rows == {2: 12, 3: 3}[level]
+    assert len(passes) == -(-n_rows // rows)
+    assert sum(len(args[1]) for args in passes) == n_rows
+    assert engine.evaluations == n_rows
+    assert copies == []
+
+
+@pytest.mark.parametrize("mode", flow.MODES)
+def test_summary_meta_phase_times_add_up_to_wall_time(tmp_path, mode):
+    cfg = FlowConfig(mode=mode, max_iterations=6, log_every=2)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 2), CRITICAL, cfg)
+    tr.write_json(tmp_path / "flow_summary.json")
+    meta = json.loads((tmp_path / "flow_summary.json").read_text())["meta"]
+    phases = [meta[key] for key in flow.PHASES]
+    assert all(p > 0.0 for p in phases)
+    assert sum(phases) == pytest.approx(meta["wall_time_s"], rel=0.05)
