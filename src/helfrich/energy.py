@@ -86,8 +86,11 @@ def _assemble_report(area, volume, willmore, bending, gap, params, closed):
                         breakdown=breakdown, closed=closed)
 
 
-def _mesh_energies(mesh: TriangleMesh, params: EnergyParams) -> EnergyReport:
-    bundle = curvature_bundle(mesh)
+def _mesh_energies(mesh: TriangleMesh, params: EnergyParams,
+                   bundle=None) -> EnergyReport:
+    """Energy report from ``bundle``, the mesh's curvature bundle if given."""
+    if bundle is None:
+        bundle = curvature_bundle(mesh)
     area = bundle.surface_area
     volume = signed_volume(mesh) if mesh.closed else None
     m = bundle.interior

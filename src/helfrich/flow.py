@@ -34,14 +34,23 @@ More 1983): vertices more than 4 edges apart never touch the same residual
 entry, so a greedy distance-4 coloring, computed once per flow since
 connectivity never changes, lets every vertex of one color move in the same
 pair of residual evaluations.  A step costs 2 x colors evaluations (34 colors
-on the level-2 icosphere, 39 from level 3 on) instead of 2V, and its damped
-normal equations are solved by a sparse LU factorization.  The 2 x colors
+on the level-2 icosphere, 39 from level 3 on) instead of 2V.  The 2 x colors
 perturbed meshes share the connectivity, so they go through the curvature
 pass as stacked positions, JACOBIAN_BLOCK_FACES faces' worth at a time
 (12 meshes at level 2, 3 at level 3): on meshes that small the cost of one
 pass is mostly per-call overhead, and one block is far cheaper than its
 meshes one by one.  One stack of all 68 level-2 meshes was no faster and
 raised the flow's peak memory by about 7 MB.
+
+Both engines solve one kind of system: energy descent the metric
+M + sigma K M^-1 K, residual descent the damped normal equations
+J^T J + mu D.  Both matrices are symmetric positive definite and supported on
+the 2-ring and 4-ring of the vertex adjacency, so one band Cholesky solve
+serves both (LAPACK pbsv): the vertices are put in reverse Cuthill-McKee
+order once per flow (Cuthill & McKee 1969), which keeps the lower bandwidth
+at 82 for the metric and 164 for J^T J + mu D on the level-3 icosphere, and
+each direction factors the permuted band.  A matrix that is not numerically
+positive definite gives the steepest-descent step instead.
 
 Both engines share one Armijo line search, parametrized by the largest
 vertex displacement and warm-started: its first trial moves no vertex
@@ -65,18 +74,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, solveh_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .analytic import residual_values
 from .curvature import cotan_operator, curvature_bundle
 # Not used here: bound so that the benchmark tracer, which wraps every module
 # binding of the face pass (perfbench/tracing.py), keeps finding it in flow.
 from .curvature import _face_data  # noqa: F401
-from .energy import EnergyParams
+from .energy import EnergyParams, _mesh_energies
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
 from .mesh import TriangleMesh, signed_volume, validate
 from .output import write_csv, write_json
-from .variation import FD_STEP_REL, _mesh_residual, el_residual, mesh_energy
+from .variation import FD_STEP_REL, _mesh_residual, mesh_energy
 
 MODES = ("energy_descent", "residual_descent")
 # converged: gradient norm at or below grad_tol; stalled: no acceptable step
@@ -190,7 +200,15 @@ def _residual_objective(mesh, params):
     return float(rho @ rho)
 
 
-def _jacobian_coloring(mesh):
+def _vertex_adjacency(mesh):
+    """The vertex 1-ring adjacency, a symmetric (V, V) CSR pattern of ones."""
+    V = mesh.n_vertices
+    return sp.csr_matrix(
+        (np.ones(len(mesh.he_origin)), (mesh.he_origin, mesh._he_dest)),
+        shape=(V, V))
+
+
+def _jacobian_coloring(adjacency):
     """2-ring sparsity of the residual Jacobian and a distance-4 coloring.
 
     Column j of J is supported on j's 2-ring, the pattern of (A + I)^2 with
@@ -199,10 +217,7 @@ def _jacobian_coloring(mesh):
     (A + I)^4 have disjoint columns and take one color, assigned greedily in
     vertex order.  Returns (indptr, indices, colors).
     """
-    V = mesh.n_vertices
-    adjacency = sp.csr_matrix(
-        (np.ones(len(mesh.he_origin)), (mesh.he_origin, mesh._he_dest)),
-        shape=(V, V))
+    V = adjacency.shape[0]
     ring1 = adjacency + sp.identity(V, format="csr")
     ring2 = ring1 @ ring1
     ring2.sort_indices()
@@ -216,6 +231,36 @@ def _jacobian_coloring(mesh):
             c += 1
         colors[v] = c
     return ring2.indptr, ring2.indices, np.array(colors)
+
+
+class _BandSolver:
+    """Band Cholesky solves of SPD matrices on one mesh's vertices, in the
+    reverse Cuthill-McKee order of its adjacency, computed once.  Each solve
+    scatters the permuted lower band into LAPACK band storage; ``bandwidth``
+    is the widest lower band factored so far."""
+
+    def __init__(self, adjacency):
+        self.order = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
+        self.rank = np.empty_like(self.order)
+        self.rank[self.order] = np.arange(len(self.order))
+        self.bandwidth = 0
+
+    def solve(self, matrix, rhs):
+        """x with matrix x = rhs; raises LinAlgError unless the matrix is
+        numerically positive definite."""
+        coo = matrix.tocoo()
+        row, col = self.rank[coo.row], self.rank[coo.col]
+        lower = row >= col
+        offset, col = row[lower] - col[lower], col[lower]
+        width = int(offset.max())
+        self.bandwidth = max(self.bandwidth, width)
+        # Fortran order, as LAPACK reads it: the factor overwrites the band
+        # in place instead of a copy.
+        band = np.zeros((width + 1, len(self.order)), order="F")
+        band[offset, col] = coo.data[lower]
+        return solveh_banded(band, rhs[self.order], overwrite_ab=True,
+                             overwrite_b=True, lower=True,
+                             check_finite=False)[self.rank]
 
 
 class _PhaseClock:
@@ -233,15 +278,45 @@ class _PhaseClock:
             self.seconds[phase] += time.perf_counter() - t0
 
 
-class _ResidualEngine:
-    """Damped Gauss-Newton steps on the squared-residual objective."""
+class _Engine:
+    """What both descent engines share: the band solver, ordered once for the
+    flow's mesh, and the step through it."""
 
     def __init__(self, params, mesh):
         self.params = params
-        self.mu = 1e-3
         self.evaluations = 0
         self.clock = _PhaseClock()
-        self.indptr, self.indices, self.colors = _jacobian_coloring(mesh)
+        self.adjacency = _vertex_adjacency(mesh)
+        self.solver = _BandSolver(self.adjacency)
+
+    def step(self, matrix, rhs, g, normals):
+        """Normal step c nu with matrix c = rhs, and its slope -g.c; plain
+        steepest descent, c = -g, when the matrix is not numerically positive
+        definite or the slope is not positive."""
+        try:
+            coeff = self.solver.solve(matrix, rhs)
+        except LinAlgError:
+            coeff = -g
+        slope = -float(g @ coeff)
+        if slope <= 0.0:
+            coeff, slope = -g, float(g @ g)
+        return coeff[:, None] * normals, slope
+
+    def feedback(self, backtracks):
+        pass
+
+    def counters(self):
+        return {"residual_evaluations": self.evaluations,
+                "solve_bandwidth": self.solver.bandwidth}
+
+
+class _ResidualEngine(_Engine):
+    """Damped Gauss-Newton steps on the squared-residual objective."""
+
+    def __init__(self, params, mesh):
+        super().__init__(params, mesh)
+        self.mu = 1e-3
+        self.indptr, self.indices, self.colors = _jacobian_coloring(self.adjacency)
         self.members = [np.flatnonzero(self.colors == c)
                         for c in range(int(self.colors.max()) + 1)]
         # Color of the column each stored entry of J belongs to.
@@ -284,6 +359,8 @@ class _ResidualEngine:
                               self.indices, self.indptr), shape=(V, V))
 
     def direction(self, mesh):
+        """Damped Gauss-Newton: (J^T J + mu D) c = -J^T rho, D the diagonal
+        of J^T J, for the gradient g = 2 J^T rho of the objective."""
         with self.clock("jacobian_s"):
             bundle = curvature_bundle(mesh)
             rho0 = self._rho(bundle)
@@ -294,31 +371,18 @@ class _ResidualEngine:
             g = 2.0 * Jt_rho
             JtJ = J.T @ J
             damp = self.mu * np.maximum(JtJ.diagonal(), 1e-30)
-            # Symmetric positive definite: symmetric ordering, no pivoting.
-            lu = splu((JtJ + sp.diags(damp)).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            coeff = lu.solve(-Jt_rho)
-            slope = -float(g @ coeff)
-            if slope <= 0.0:          # fall back to plain steepest descent
-                coeff = -g
-                slope = float(g @ g)
-            return coeff[:, None] * normals, slope, float(np.linalg.norm(g))
+            direction, slope = self.step(JtJ + sp.diags(damp), -Jt_rho, g, normals)
+            return direction, slope, float(np.linalg.norm(g))
 
     def feedback(self, backtracks):
         self.mu = min(self.mu * 3.0, 1e8) if backtracks else max(self.mu * 0.3, 1e-12)
 
     def counters(self):
-        return {"residual_evaluations": self.evaluations,
-                "jacobian_colors": len(self.members)}
+        return {**super().counters(), "jacobian_colors": len(self.members)}
 
 
-class _EnergyEngine:
+class _EnergyEngine(_Engine):
     """Descent along the H^2-Sobolev gradient of the energy."""
-
-    def __init__(self, params):
-        self.params = params
-        self.evaluations = 0
-        self.clock = _PhaseClock()
 
     def objective(self, mesh):
         return mesh_energy(mesh, self.params)
@@ -337,18 +401,9 @@ class _EnergyEngine:
             K, M = op.stiffness, op.mass
             sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
             metric = sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
-            # Symmetric positive definite: symmetric ordering, no pivoting.
-            lu = splu(metric.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            coeff = lu.solve(-g)
-            return (coeff[:, None] * bundle.normal, -float(g @ coeff),
+            direction, slope = self.step(metric, -g, g, bundle.normal)
+            return (direction, slope,
                     float(np.linalg.norm(g[:, None] * bundle.normal)))
-
-    def feedback(self, backtracks):
-        pass
-
-    def counters(self):
-        return {"residual_evaluations": self.evaluations}
 
 
 def flow_run(mesh: TriangleMesh, params: EnergyParams,
@@ -367,8 +422,8 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     if not validate(mesh).ok:
         raise UnsupportedError("flow_run needs a validated mesh")
 
-    engine = (_ResidualEngine(params, mesh) if config.mode == "residual_descent"
-              else _EnergyEngine(params))
+    engine = (_ResidualEngine if config.mode == "residual_descent"
+              else _EnergyEngine)(params, mesh)
 
     clock = engine.clock
     t0 = time.perf_counter()
@@ -378,13 +433,15 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
 
     @clock("record_s")
     def record(m, it, obj, step_size, accepted):
-        field = el_residual(m, params)
+        bundle = curvature_bundle(m)      # one face pass per row
+        field = _mesh_residual(m, bundle, params)
         try:
             center, radius, rms = best_fit_sphere(m)
         except FitError:
             center, radius, rms = (np.nan, np.nan, np.nan), np.nan, np.nan
         rows.append(FlowRow(
-            iteration=it, objective=obj, energy=mesh_energy(m, params),
+            iteration=it, objective=obj,
+            energy=_mesh_energies(m, params, bundle).helfrich,
             area=float(field.areas.sum()), volume=signed_volume(m),
             residual_l2=field.l2, residual_linf=field.linf, step_size=step_size,
             accepted=accepted, fit_center=tuple(center), fit_radius=radius,
@@ -447,7 +504,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     if not rows or rows[-1].iteration != it:
         record(mesh, it, obj, 0.0, False)
     meta = engine.counters()
-    meta["residual_evaluations"] += len(rows)      # one el_residual per row
+    meta["residual_evaluations"] += len(rows)      # one residual per row
     meta["objective_evaluations"] = evaluations
     meta.update(clock.seconds)
     return FlowTrace(verdict=verdict, iterations=it, rows=rows,
