@@ -78,20 +78,35 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _geometry(surface, uu, vv):
-    j = surface.jet(uu, vv, order=2)
-    fu, fv = j["fu"], j["fv"]
+def _fundamental_forms(surface, jet):
+    """E, F, G, det g, sqrt(det g), oriented unit normal, L, M, N, H of a 2-jet."""
+    fu, fv = jet["fu"], jet["fv"]
     E = _dot(fu, fu)
     F = _dot(fu, fv)
     G = _dot(fv, fv)
     det_g = E * G - F * F
-    n_raw = np.cross(fu, fv)
     w = np.sqrt(det_g)
-    nu = surface.normal_sign * n_raw / w[..., None]
-    L = _dot(j["fuu"], nu)
-    M = _dot(j["fuv"], nu)
-    N = _dot(j["fvv"], nu)
+    nu = surface.normal_sign * np.cross(fu, fv) / w[..., None]
+    L = _dot(jet["fuu"], nu)
+    M = _dot(jet["fuv"], nu)
+    N = _dot(jet["fvv"], nu)
     H = (G * L - 2.0 * F * M + E * N) / det_g
+    return E, F, G, det_g, w, nu, L, M, N, H
+
+
+def _inverse_metric(g):
+    """Inverse of a (..., 2, 2) metric by the adjugate over the determinant."""
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    ginv = np.empty_like(g)
+    ginv[..., 0, 0] = g[..., 1, 1] / det
+    ginv[..., 1, 1] = g[..., 0, 0] / det
+    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
+    return ginv
+
+
+def _geometry(surface, uu, vv):
+    j = surface.jet(uu, vv, order=2)
+    E, F, G, det_g, w, nu, L, M, N, H = _fundamental_forms(surface, j)
     K = (L * N - M * M) / det_g
     tracefree = 0.5 * H * H - 2.0 * K
 
@@ -102,7 +117,7 @@ def _geometry(surface, uu, vv):
         Hv = np.broadcast_to(Hv, det_g.shape)
         a = (G * Hu - F * Hv) / det_g
         b = (E * Hv - F * Hu) / det_g
-        gradH = a[..., None] * fu + b[..., None] * fv
+        gradH = a[..., None] * j["fu"] + b[..., None] * j["fv"]
         grad_sq = (G * Hu * Hu - 2.0 * F * Hu * Hv + E * Hv * Hv) / det_g
     if surface.laplace_mean_curvature_fn is not None:
         lap = np.broadcast_to(surface.laplace_mean_curvature_fn(uu, vv), det_g.shape)
@@ -491,17 +506,7 @@ def _perturbed_jet(j, nj, pj, t):
 
 def _energies_from_jet(surface, jet2, ww, params):
     """Area, total mean curvature, Willmore, volume, Helfrich from a 2-jet."""
-    fu, fv = jet2["fu"], jet2["fv"]
-    E = _dot(fu, fu)
-    F = _dot(fu, fv)
-    G = _dot(fv, fv)
-    det_g = E * G - F * F
-    w = np.sqrt(det_g)
-    nu = surface.normal_sign * np.cross(fu, fv) / w[..., None]
-    L = _dot(jet2["fuu"], nu)
-    M = _dot(jet2["fuv"], nu)
-    N = _dot(jet2["fvv"], nu)
-    H = (G * L - 2.0 * F * M + E * N) / det_g
+    *_, w, nu, _, _, _, H = _fundamental_forms(surface, jet2)
 
     dmu = w * ww
     area = float(dmu.sum())
@@ -663,11 +668,7 @@ def chart_cubic_identity_deviation(geom: PointGeometry):
     on full (possibly non-diagonal) chart fundamental forms."""
     g = geom.metric
     A = geom.second_fundamental
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / det
-    ginv[..., 1, 1] = g[..., 0, 0] / det
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
+    ginv = _inverse_metric(g)
     a_raised = np.einsum("...ik,...kj->...ij", ginv, A)
     a_sq = np.einsum("...ij,...ji->...", a_raised, a_raised)
     lhs = (geom.mean_curvature[..., None, None]
@@ -697,11 +698,7 @@ def chart_codazzi_gradient_deviation(surface, uu, vv):
     for a in range(2):
         for b in range(2):
             g[..., a, b] = _dot(f1[a], f1[b])
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / det
-    ginv[..., 1, 1] = g[..., 0, 0] / det
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
+    ginv = _inverse_metric(g)
 
     Dg = np.empty(shape + (2, 2, 2))          # Dg[k,a,b] = d_k g_ab
     for k in range(2):

@@ -28,10 +28,6 @@ class EnergyParams:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    @property
-    def is_willmore(self):
-        return self.c0 == 0.0 and self.lam1 == 0.0 and self.lam2 == 0.0
-
 
 @dataclass
 class EnergyReport:

@@ -57,6 +57,10 @@ vertex displacement and warm-started: its first trial moves no vertex
 farther than initial_step, nor farther than WARM_START_FACTOR times the
 previous accepted displacement, so a flow whose steps have shrunk does not
 spend its evaluations halving down from initial_step on every iteration.
+Each objective evaluation returns the curvature bundle it computed, and the
+flow carries the accepted trial's bundle into the next direction and trace
+row, so every iterate goes through the face pass once; only energy descent's
+cotangent operator, whose columns the bundle does not keep, runs its own.
 
 The summary's meta reports the seconds of each phase (PHASES): the
 derivative (the Jacobian, or the energy's assembled gradient), the solve
@@ -86,7 +90,7 @@ from .energy import EnergyParams, _mesh_energies
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
 from .mesh import TriangleMesh, signed_volume, validate
 from .output import write_csv, write_json
-from .variation import FD_STEP_REL, _mesh_residual, mesh_energy
+from .variation import FD_STEP_REL, _gradient_coefficient, _mesh_residual
 
 MODES = ("energy_descent", "residual_descent")
 # converged: gradient norm at or below grad_tol; stalled: no acceptable step
@@ -196,8 +200,10 @@ def _weighted_residual(bundle, params, row=...):
 
 
 def _residual_objective(mesh, params):
-    rho = _weighted_residual(curvature_bundle(mesh), params)
-    return float(rho @ rho)
+    """The squared-residual objective and the bundle it was computed from."""
+    bundle = curvature_bundle(mesh)
+    rho = _weighted_residual(bundle, params)
+    return float(rho @ rho), bundle
 
 
 def _vertex_adjacency(mesh):
@@ -317,8 +323,7 @@ class _ResidualEngine(_Engine):
         super().__init__(params, mesh)
         self.mu = 1e-3
         self.indptr, self.indices, self.colors = _jacobian_coloring(self.adjacency)
-        self.members = [np.flatnonzero(self.colors == c)
-                        for c in range(int(self.colors.max()) + 1)]
+        self.n_colors = int(self.colors.max()) + 1
         # Color of the column each stored entry of J belongs to.
         self.entry_color = np.repeat(self.colors, np.diff(self.indptr))
 
@@ -341,7 +346,7 @@ class _ResidualEngine(_Engine):
         """
         h = FD_STEP_REL * mesh.bbox_diagonal()
         V = mesh.n_vertices
-        n_rows = 2 * len(self.members)
+        n_rows = 2 * self.n_colors
         base, step = mesh.vertices, h * normals
         stack = np.empty((n_rows, V, 3))
         stack[:] = base
@@ -358,44 +363,41 @@ class _ResidualEngine(_Engine):
         return sp.csc_matrix((diff[self.entry_color, self.indices],
                               self.indices, self.indptr), shape=(V, V))
 
-    def direction(self, mesh):
+    def direction(self, mesh, bundle):
         """Damped Gauss-Newton: (J^T J + mu D) c = -J^T rho, D the diagonal
         of J^T J, for the gradient g = 2 J^T rho of the objective."""
         with self.clock("jacobian_s"):
-            bundle = curvature_bundle(mesh)
             rho0 = self._rho(bundle)
-            normals = bundle.normal
-            J = self.jacobian(mesh, normals)
+            J = self.jacobian(mesh, bundle.normal)
         with self.clock("solve_s"):
             Jt_rho = J.T @ rho0
             g = 2.0 * Jt_rho
             JtJ = J.T @ J
             damp = self.mu * np.maximum(JtJ.diagonal(), 1e-30)
-            direction, slope = self.step(JtJ + sp.diags(damp), -Jt_rho, g, normals)
+            direction, slope = self.step(JtJ + sp.diags(damp), -Jt_rho, g, bundle.normal)
             return direction, slope, float(np.linalg.norm(g))
 
     def feedback(self, backtracks):
         self.mu = min(self.mu * 3.0, 1e8) if backtracks else max(self.mu * 0.3, 1e-12)
 
     def counters(self):
-        return {**super().counters(), "jacobian_colors": len(self.members)}
+        return {**super().counters(), "jacobian_colors": self.n_colors}
 
 
 class _EnergyEngine(_Engine):
     """Descent along the H^2-Sobolev gradient of the energy."""
 
     def objective(self, mesh):
-        return mesh_energy(mesh, self.params)
+        bundle = curvature_bundle(mesh)
+        return _mesh_energies(mesh, self.params, bundle).helfrich, bundle
 
-    def direction(self, mesh):
+    def direction(self, mesh, bundle):
         """Solve (M + sigma K M^-1 K) c = -g for the normal coefficient c of
         the step, with g nu the assembled L^2 gradient; the returned norm is
         that gradient's, so grad_tol keeps its meaning."""
         self.evaluations += 1     # the assembled gradient is one residual
         with self.clock("jacobian_s"):
-            bundle = curvature_bundle(mesh)
-            field = _mesh_residual(mesh, bundle, self.params)
-            g = 0.5 * np.where(field.interior, field.values, 0.0) * field.areas
+            g = _gradient_coefficient(mesh, bundle, self.params)
         with self.clock("solve_s"):
             op = cotan_operator(mesh)
             K, M = op.stiffness, op.mass
@@ -432,8 +434,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     message = "iteration cap reached"
 
     @clock("record_s")
-    def record(m, it, obj, step_size, accepted):
-        bundle = curvature_bundle(m)      # one face pass per row
+    def record(m, bundle, it, obj, step_size, accepted):
         field = _mesh_residual(m, bundle, params)
         try:
             center, radius, rms = best_fit_sphere(m)
@@ -448,18 +449,18 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
             fit_rms=rms))
 
     with clock("line_search_s"):
-        obj = engine.objective(mesh)
+        obj, bundle = engine.objective(mesh)
     evaluations = 1
     if not np.isfinite(obj):
         raise NumericalError("non-finite objective at iteration 0")
     it = 0
     cap = config.initial_step
     while it < config.max_iterations:
-        direction, slope, grad_norm = engine.direction(mesh)
+        direction, slope, grad_norm = engine.direction(mesh, bundle)
         if grad_norm <= config.grad_tol:
             verdict = "converged"
             message = f"gradient norm {grad_norm:.3e} at or below tolerance"
-            record(mesh, it, obj, 0.0, False)
+            record(mesh, bundle, it, obj, 0.0, False)
             break
 
         # Line search parametrized by the largest vertex displacement; the
@@ -473,7 +474,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
                 trial = mesh.with_positions(mesh.vertices + s * direction)
                 evaluations += 1
                 try:
-                    trial_obj = engine.objective(trial)
+                    trial_obj, trial_bundle = engine.objective(trial)
                 except OperatorError as e:
                     verdict = "degenerate_mesh"
                     message = f"trial step: {e}"
@@ -491,18 +492,18 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
         if not accepted:
             verdict = "stalled"
             message = "no acceptable step above the step tolerance"
-            record(mesh, it, obj, 0.0, False)
+            record(mesh, bundle, it, obj, 0.0, False)
             break
         engine.feedback(backtracks)
         cap = min(config.initial_step, WARM_START_FACTOR * s * d_max)
 
-        mesh, obj = trial, trial_obj
+        mesh, obj, bundle = trial, trial_obj, trial_bundle
         it += 1
         if it % config.log_every == 0 or it == config.max_iterations:
-            record(mesh, it, obj, s * d_max, True)
+            record(mesh, bundle, it, obj, s * d_max, True)
 
     if not rows or rows[-1].iteration != it:
-        record(mesh, it, obj, 0.0, False)
+        record(mesh, bundle, it, obj, 0.0, False)
     meta = engine.counters()
     meta["residual_evaluations"] += len(rows)      # one residual per row
     meta["objective_evaluations"] = evaluations

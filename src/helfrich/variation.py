@@ -77,6 +77,12 @@ def _mesh_residual(mesh, bundle, params) -> ResidualField:
                          interior=mask, source_kind="mesh")
 
 
+def _gradient_coefficient(mesh, bundle, params):
+    """The assembled gradient's normal coefficient, 0 off the interior."""
+    field = _mesh_residual(mesh, bundle, params)
+    return 0.5 * (np.where(field.interior, field.values, 0.0) * field.areas)
+
+
 def el_residual(source, params: EnergyParams, grid=None) -> ResidualField:
     """Euler-Lagrange residual field on a mesh or an oracle surface."""
     if isinstance(source, TriangleMesh):
@@ -150,9 +156,7 @@ def energy_gradient(mesh: TriangleMesh, params: EnergyParams,
             "area/volume-weighted gradient on an open mesh")
     if method == "assembled":
         bundle = curvature_bundle(mesh)
-        field = _mesh_residual(mesh, bundle, params)
-        vals = np.where(field.interior, field.values, 0.0)
-        return 0.5 * (vals * field.areas)[:, None] * bundle.normal
+        return _gradient_coefficient(mesh, bundle, params)[:, None] * bundle.normal
     if method == "finite_difference":
         h = FD_STEP_REL * mesh.bbox_diagonal()
         grad = np.zeros((mesh.n_vertices, 3))

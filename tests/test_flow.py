@@ -137,7 +137,8 @@ def test_residual_objective_uses_unclamped_tracefree():
     r = residual_values(b.laplace_mean_curvature, b.mean_curvature,
                         b.gauss_curvature, b.tracefree_raw, params)
     expected = float((b.vertex_area * r * r).sum())
-    assert flow._residual_objective(mesh, params) == pytest.approx(expected, rel=1e-12)
+    objective, _ = flow._residual_objective(mesh, params)
+    assert objective == pytest.approx(expected, rel=1e-12)
 
 
 def test_topology_checked_once_per_run(monkeypatch):
@@ -203,7 +204,7 @@ def test_colored_jacobian_equals_dense_fd_bitwise(level):
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
     engine = flow._ResidualEngine(CRITICAL, mesh)
     J = engine.jacobian(mesh, curvature_bundle(mesh).normal)
-    assert engine.evaluations == 2 * len(engine.members)
+    assert engine.evaluations == 2 * engine.n_colors
     assert np.array_equal(J.toarray(), _dense_fd_jacobian(mesh, CRITICAL))
 
 
@@ -279,15 +280,18 @@ def test_summary_meta_counts_objective_evaluations(tmp_path, monkeypatch, mode):
 def test_energy_direction_is_the_sobolev_gradient(monkeypatch):
     """The step's normal coefficient c solves (M + sigma K M^-1 K) c = -g,
     the slope is -g.c, and the reported norm is the L^2 gradient's; one
-    direction costs two face passes (curvature and operator)."""
+    direction costs one face pass, the operator's: the curvature comes in
+    the objective's bundle."""
     import helfrich.curvature as curvature
 
     mesh = hf.perturbed_sphere(2.0, 0.05, 2)
+    engine = flow._EnergyEngine(EnergyParams(), mesh)
+    _, bundle = engine.objective(mesh)
     passes = []
     real = curvature._face_data
     monkeypatch.setattr(curvature, "_face_data", lambda m: passes.append(m) or real(m))
-    direction, slope, grad_norm = flow._EnergyEngine(EnergyParams(), mesh).direction(mesh)
-    assert len(passes) == 2
+    direction, slope, grad_norm = engine.direction(mesh, bundle)
+    assert len(passes) == 1
     monkeypatch.undo()
     G = energy_gradient(mesh, EnergyParams(), method="assembled")
     normals = curvature_bundle(mesh).normal
@@ -310,9 +314,9 @@ def test_line_search_first_trial_is_warm_started(monkeypatch):
     real_objective = flow._EnergyEngine.objective
     bases, firsts = [], []
 
-    def direction(self, m):
+    def direction(self, m, bundle):
         bases.append(m.vertices)
-        return real_direction(self, m)
+        return real_direction(self, m, bundle)
 
     def objective(self, m):
         if len(firsts) < len(bases):      # the first trial of this iteration
@@ -364,7 +368,7 @@ def test_jacobian_stacks_its_face_passes(monkeypatch, level):
     monkeypatch.setattr(hf.TriangleMesh, "with_positions",
                         lambda self, v: copies.append(v) or real_copy(self, v))
     engine.jacobian(mesh, normals)
-    n_rows = 2 * len(engine.members)
+    n_rows = 2 * engine.n_colors
     rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
     assert rows == {2: 12, 3: 3}[level]
     assert len(passes) == -(-n_rows // rows)
@@ -460,7 +464,7 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
         engine = flow._EnergyEngine(CRITICAL, mesh)
         g = (energy_gradient(mesh, CRITICAL, method="assembled") * normals).sum(axis=1)
     monkeypatch.setattr(flow, "solveh_banded", not_positive_definite)
-    direction, slope, grad_norm = engine.direction(mesh)
+    direction, slope, grad_norm = engine.direction(mesh, curvature_bundle(mesh))
     scale = np.abs(g).max()
     assert np.allclose(direction, -g[:, None] * normals, rtol=0, atol=1e-12 * scale)
     c = -(direction * normals).sum(axis=1)
@@ -470,29 +474,34 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", flow.MODES)
-def test_trace_row_costs_one_face_pass(monkeypatch, mode):
-    """Recording a row runs one curvature pass for both the residual and
-    the energy, and the row equals the separate evaluations."""
+def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
+    """Every face pass of a flow is an objective evaluation, a stacked
+    Jacobian block (residual descent) or a direction's operator pass (energy
+    descent): directions and trace rows read the bundle the objective
+    computed, and the last row equals the separate evaluations."""
     import helfrich.curvature as curvature
     from helfrich.variation import el_residual
 
-    passes, inside = [], []
+    passes, directions = [], []
     real_pass = curvature._face_data
     monkeypatch.setattr(curvature, "_face_data",
-                        lambda *args: passes.append(1) or real_pass(*args))
-    engine = flow._ResidualEngine if mode == "residual_descent" else flow._EnergyEngine
-    for name in ("direction", "objective"):
-        def counted(self, m, real=getattr(engine, name)):
-            before = len(passes)
-            try:
-                return real(self, m)
-            finally:
-                inside.append(len(passes) - before)
-        monkeypatch.setattr(engine, name, counted)
+                        lambda *args: passes.append(len(args)) or real_pass(*args))
+    real_step = flow._Engine.step      # one step per direction
+    monkeypatch.setattr(flow._Engine, "step", lambda self, *args: (
+        directions.append(1) or real_step(self, *args)))
     cfg = FlowConfig(mode=mode, max_iterations=4, log_every=1)
-    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 1), CRITICAL, cfg)
-    assert len(tr.rows) >= 4
-    assert len(passes) - sum(inside) == len(tr.rows)
+    mesh = hf.perturbed_sphere(2.0, 0.05, 1)
+    tr = flow_run(mesh, CRITICAL, cfg)
+    assert len(tr.rows) >= 4 and directions
+    single, stacked = passes.count(1), passes.count(2)
+    if mode == "residual_descent":
+        rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
+        blocks = -(-2 * tr.meta["jacobian_colors"] // rows)
+        assert single == tr.meta["objective_evaluations"]
+        assert stacked == blocks * len(directions)
+    else:
+        assert single == tr.meta["objective_evaluations"] + len(directions)
+        assert stacked == 0
     monkeypatch.undo()
     field = el_residual(tr.final_mesh, CRITICAL)
     last = tr.rows[-1]
