@@ -33,14 +33,28 @@ is sparse and is built compressed (Curtis, Powell & Reid 1974; Coleman &
 More 1983): vertices more than 4 edges apart never touch the same residual
 entry, so a greedy distance-4 coloring, computed once per flow since
 connectivity never changes, lets every vertex of one color move in the same
-pair of residual evaluations.  A step costs 2 x colors evaluations (34 colors
-on the level-2 icosphere, 39 from level 3 on) instead of 2V.  The 2 x colors
-perturbed meshes share the connectivity, so they go through the curvature
-pass as stacked positions, JACOBIAN_BLOCK_FACES faces' worth at a time
-(12 meshes at level 2, 3 at level 3): on meshes that small the cost of one
+pair of residual evaluations.  A Jacobian build costs 2 x colors evaluations
+(34 colors on the level-2 icosphere, 39 from level 3 on) instead of 2V.  The
+2 x colors perturbed meshes share the connectivity, so they go through the
+curvature pass as stacked positions, JACOBIAN_BLOCK_FACES faces' worth at a
+time (12 meshes at level 2, 3 at level 3): on meshes that small the cost of one
 pass is mostly per-call overhead, and one block is far cheaper than its
 meshes one by one.  One stack of all 68 level-2 meshes was no faster and
 raised the flow's peak memory by about 7 MB.
+
+Not every step builds a Jacobian: the engine keeps the last J, with J^T,
+J^T J and its band, while it keeps working, as in chord (Shamanskii)
+Gauss-Newton (Kelley, Solving Nonlinear Equations with Newton's Method,
+SIAM 2003, ch. 2).  J is kept after an accepted step that took no backtrack
+and lowered the objective to at most REUSE_CONTRACTION times its value, and
+rebuilt otherwise; a direction on a kept J evaluates only rho and mu D.  A
+stale J, one built at an earlier iterate, never decides how a run ends: a
+gradient that meets grad_tol is taken again with a fresh J before the run
+ends converged, and a line search that fails rebuilds J at the same iterate
+and searches again before the run ends stalled.  With the factor at 0.25
+the level-3 flow builds 8 Jacobians in 15 iterations instead of 15 in 14;
+keeping J after every step without a backtrack took it 39 iterations, and a
+factor of 0.5 took 33.
 
 Both engines solve one kind of system: energy descent the metric
 M + sigma K M^-1 K, residual descent the damped normal equations
@@ -102,6 +116,7 @@ SUFFICIENT_DECREASE = 1e-4   # Armijo constant
 STEP_TOL = 1e-14             # smallest attempted vertex displacement
 SOBOLEV_SIGMA0 = 0.006       # H^2 weight sigma / (area / 4 pi)^2
 JACOBIAN_BLOCK_FACES = 4096  # meshes x faces of one stacked Jacobian pass
+REUSE_CONTRACTION = 0.25     # keep J after a step to <= this x the objective
 PHASES = ("jacobian_s", "solve_s", "line_search_s", "record_s")
 
 
@@ -241,9 +256,9 @@ def _jacobian_coloring(adjacency):
 
 class _BandSolver:
     """Band Cholesky solves of SPD matrices on one mesh's vertices, in the
-    reverse Cuthill-McKee order of its adjacency, computed once.  Each solve
-    scatters the permuted lower band into LAPACK band storage; ``bandwidth``
-    is the widest lower band factored so far."""
+    reverse Cuthill-McKee order of its adjacency, computed once.  ``band``
+    scatters a matrix's permuted lower band into LAPACK band storage;
+    ``bandwidth`` is the widest lower band scattered so far."""
 
     def __init__(self, adjacency):
         self.order = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
@@ -251,9 +266,9 @@ class _BandSolver:
         self.rank[self.order] = np.arange(len(self.order))
         self.bandwidth = 0
 
-    def solve(self, matrix, rhs):
-        """x with matrix x = rhs; raises LinAlgError unless the matrix is
-        numerically positive definite."""
+    def band(self, matrix):
+        """The lower band of the symmetric sparse matrix in RCM order, row
+        k holding the k-th subdiagonal; row 0 is the diagonal."""
         coo = matrix.tocoo()
         row, col = self.rank[coo.row], self.rank[coo.col]
         lower = row >= col
@@ -264,6 +279,11 @@ class _BandSolver:
         # in place instead of a copy.
         band = np.zeros((width + 1, len(self.order)), order="F")
         band[offset, col] = coo.data[lower]
+        return band
+
+    def solve(self, band, rhs):
+        """x with matrix x = rhs, the band overwritten by its factor; raises
+        LinAlgError unless the matrix is numerically positive definite."""
         return solveh_banded(band, rhs[self.order], overwrite_ab=True,
                              overwrite_b=True, lower=True,
                              check_finite=False)[self.rank]
@@ -288,6 +308,10 @@ class _Engine:
     """What both descent engines share: the band solver, ordered once for the
     flow's mesh, and the step through it."""
 
+    # The kept derivatives come from an earlier iterate than the current
+    # one; only residual descent keeps any.
+    stale = False
+
     def __init__(self, params, mesh):
         self.params = params
         self.evaluations = 0
@@ -295,12 +319,13 @@ class _Engine:
         self.adjacency = _vertex_adjacency(mesh)
         self.solver = _BandSolver(self.adjacency)
 
-    def step(self, matrix, rhs, g, normals):
-        """Normal step c nu with matrix c = rhs, and its slope -g.c; plain
-        steepest descent, c = -g, when the matrix is not numerically positive
-        definite or the slope is not positive."""
+    def step(self, band, rhs, g, normals):
+        """Normal step c nu with matrix c = rhs, the matrix given by its
+        ``_BandSolver.band``, and its slope -g.c; plain steepest descent,
+        c = -g, when the matrix is not numerically positive definite or the
+        slope is not positive."""
         try:
-            coeff = self.solver.solve(matrix, rhs)
+            coeff = self.solver.solve(band, rhs)
         except LinAlgError:
             coeff = -g
         slope = -float(g @ coeff)
@@ -308,7 +333,7 @@ class _Engine:
             coeff, slope = -g, float(g @ g)
         return coeff[:, None] * normals, slope
 
-    def feedback(self, backtracks):
+    def feedback(self, backtracks, obj, trial_obj):
         pass
 
     def counters(self):
@@ -326,6 +351,9 @@ class _ResidualEngine(_Engine):
         self.n_colors = int(self.colors.max()) + 1
         # Color of the column each stored entry of J belongs to.
         self.entry_color = np.repeat(self.colors, np.diff(self.indptr))
+        # (J^T, band of J^T J, diagonal of J^T J) of the kept Jacobian.
+        self.normal_equations = None
+        self.jacobian_builds = 0
 
     def _rho(self, bundle, row=...):
         self.evaluations += 1
@@ -365,23 +393,45 @@ class _ResidualEngine(_Engine):
 
     def direction(self, mesh, bundle):
         """Damped Gauss-Newton: (J^T J + mu D) c = -J^T rho, D the diagonal
-        of J^T J, for the gradient g = 2 J^T rho of the objective."""
+        of J^T J, for the gradient g = 2 J^T rho of the objective.  J is
+        built here unless ``feedback`` kept the last one; only rho and mu D
+        are new in a direction on a kept J."""
+        fresh = self.normal_equations is None
         with self.clock("jacobian_s"):
             rho0 = self._rho(bundle)
-            J = self.jacobian(mesh, bundle.normal)
+            if fresh:
+                J = self.jacobian(mesh, bundle.normal)
         with self.clock("solve_s"):
-            Jt_rho = J.T @ rho0
+            if fresh:
+                JtJ = J.T @ J
+                self.normal_equations = (J.T, self.solver.band(JtJ), JtJ.diagonal())
+                self.jacobian_builds += 1
+            Jt, JtJ_band, diagonal = self.normal_equations
+            Jt_rho = Jt @ rho0
             g = 2.0 * Jt_rho
-            JtJ = J.T @ J
-            damp = self.mu * np.maximum(JtJ.diagonal(), 1e-30)
-            direction, slope = self.step(JtJ + sp.diags(damp), -Jt_rho, g, bundle.normal)
+            damp = self.mu * np.maximum(diagonal, 1e-30)
+            band = JtJ_band.copy(order="F")
+            band[0] += damp[self.solver.order]
+            direction, slope = self.step(band, -Jt_rho, g, bundle.normal)
             return direction, slope, float(np.linalg.norm(g))
 
-    def feedback(self, backtracks):
+    def feedback(self, backtracks, obj, trial_obj):
+        """After an accepted step: mu falls if it took no backtrack and rises
+        otherwise, and J is kept for the next iterate only if the step took
+        no backtrack and contracted the objective by REUSE_CONTRACTION."""
         self.mu = min(self.mu * 3.0, 1e8) if backtracks else max(self.mu * 0.3, 1e-12)
+        if backtracks or trial_obj > REUSE_CONTRACTION * obj:
+            self.renew()
+        else:
+            self.stale = True
+
+    def renew(self):
+        """Build J again at the next direction's iterate."""
+        self.normal_equations, self.stale = None, False
 
     def counters(self):
-        return {**super().counters(), "jacobian_colors": self.n_colors}
+        return {**super().counters(), "jacobian_colors": self.n_colors,
+                "jacobian_builds": self.jacobian_builds}
 
 
 class _EnergyEngine(_Engine):
@@ -403,7 +453,8 @@ class _EnergyEngine(_Engine):
             K, M = op.stiffness, op.mass
             sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
             metric = sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
-            direction, slope = self.step(metric, -g, g, bundle.normal)
+            direction, slope = self.step(self.solver.band(metric), -g, g,
+                                         bundle.normal)
             return (direction, slope,
                     float(np.linalg.norm(g[:, None] * bundle.normal)))
 
@@ -457,6 +508,10 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     cap = config.initial_step
     while it < config.max_iterations:
         direction, slope, grad_norm = engine.direction(mesh, bundle)
+        if grad_norm <= config.grad_tol and engine.stale:
+            # Only derivatives taken at this iterate may end the run.
+            engine.renew()
+            direction, slope, grad_norm = engine.direction(mesh, bundle)
         if grad_norm <= config.grad_tol:
             verdict = "converged"
             message = f"gradient norm {grad_norm:.3e} at or below tolerance"
@@ -489,12 +544,15 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
                 backtracks += 1
         if verdict == "degenerate_mesh":
             break
+        if not accepted and engine.stale:
+            engine.renew()      # retry from this iterate with derivatives taken here
+            continue
         if not accepted:
             verdict = "stalled"
             message = "no acceptable step above the step tolerance"
             record(mesh, bundle, it, obj, 0.0, False)
             break
-        engine.feedback(backtracks)
+        engine.feedback(backtracks, obj, trial_obj)
         cap = min(config.initial_step, WARM_START_FACTOR * s * d_max)
 
         mesh, obj, bundle = trial, trial_obj, trial_bundle

@@ -147,9 +147,9 @@ def energy_gradient(mesh: TriangleMesh, params: EnergyParams,
     """Per-vertex 3-vector gradient of the Helfrich total.
 
     assembled: normal L^2 gradient 0.5 * residual * vertex area * inward
-    normal (tangential motion is reparametrization and omitted).
-    finite_difference: central differences per coordinate with step
-    1e-5 x bounding-box diagonal.
+    normal (tangential motion is reparametrization and omitted), the only
+    method; ``directional_derivative_fd`` and ``gradient_check`` give the
+    finite-difference cross-check.
     """
     if not mesh.closed and not (params.lam1 == 0.0 and params.lam2 == 0.0):
         raise UndefinedFunctionalError(
@@ -157,17 +157,6 @@ def energy_gradient(mesh: TriangleMesh, params: EnergyParams,
     if method == "assembled":
         bundle = curvature_bundle(mesh)
         return _gradient_coefficient(mesh, bundle, params)[:, None] * bundle.normal
-    if method == "finite_difference":
-        h = FD_STEP_REL * mesh.bbox_diagonal()
-        grad = np.zeros((mesh.n_vertices, 3))
-        base = mesh.vertices.copy()
-        for i in range(mesh.n_vertices):
-            for c in range(3):
-                for sign in (1.0, -1.0):
-                    pos = base.copy()
-                    pos[i, c] += sign * h
-                    grad[i, c] += sign * mesh_energy(mesh.with_positions(pos), params)
-        return grad / (2.0 * h)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -417,7 +417,7 @@ def test_band_solve_matches_sparse_lu(system, level):
         rings = 4
     adjacency = flow._vertex_adjacency(mesh)
     solver = flow._BandSolver(adjacency)
-    x = solver.solve(matrix, rhs)
+    x = solver.solve(solver.band(matrix), rhs)
     reference = splu(matrix.tocsc()).solve(rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
     edges = adjacency.tocoo()
@@ -475,10 +475,10 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
-    """Every face pass of a flow is an objective evaluation, a stacked
-    Jacobian block (residual descent) or a direction's operator pass (energy
-    descent): directions and trace rows read the bundle the objective
-    computed, and the last row equals the separate evaluations."""
+    """Every face pass of a flow is an objective evaluation, a stacked block
+    of a Jacobian build (residual descent) or a direction's operator pass
+    (energy descent): directions and trace rows read the bundle the
+    objective computed, and the last row equals the separate evaluations."""
     import helfrich.curvature as curvature
     from helfrich.variation import el_residual
 
@@ -498,7 +498,8 @@ def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
         rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
         blocks = -(-2 * tr.meta["jacobian_colors"] // rows)
         assert single == tr.meta["objective_evaluations"]
-        assert stacked == blocks * len(directions)
+        assert stacked == blocks * tr.meta["jacobian_builds"]
+        assert 0 < tr.meta["jacobian_builds"] <= len(directions)
     else:
         assert single == tr.meta["objective_evaluations"] + len(directions)
         assert stacked == 0
@@ -508,3 +509,110 @@ def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
     assert last.energy == mesh_energy(tr.final_mesh, CRITICAL)
     assert (last.residual_l2, last.residual_linf) == (field.l2, field.linf)
     assert last.area == float(field.areas.sum())
+
+
+def test_direction_on_kept_jacobian_solves_its_normal_equations(monkeypatch):
+    """After a step that keeps J, the next direction evaluates rho and no
+    face pass, and solves (J^T J + mu D) c = -J^T rho with the kept J and D
+    the diagonal of J^T J, at the new iterate's rho and the new mu."""
+    import helfrich.curvature as curvature
+
+    mesh = hf.perturbed_sphere(2.0, 0.05, 2)
+    engine = flow._ResidualEngine(CRITICAL, mesh)
+    obj, bundle = engine.objective(mesh)
+    engine.direction(mesh, bundle)
+    J = flow._ResidualEngine(CRITICAL, mesh).jacobian(mesh, bundle.normal).toarray()
+    moved = mesh.with_positions(mesh.vertices + 1e-3 * bundle.normal)
+    _, moved_bundle = engine.objective(moved)
+    engine.feedback(0, obj, flow.REUSE_CONTRACTION * obj)
+    assert engine.stale
+    evaluations, passes = engine.evaluations, []
+    real_pass = curvature._face_data
+    monkeypatch.setattr(curvature, "_face_data",
+                        lambda *args: passes.append(args) or real_pass(*args))
+    direction, slope, grad_norm = engine.direction(moved, moved_bundle)
+    assert passes == [] and engine.evaluations == evaluations + 1
+    assert engine.jacobian_builds == 1
+    Jt_rho = J.T @ flow._weighted_residual(moved_bundle, CRITICAL)
+    JtJ = J.T @ J
+    matrix = JtJ + engine.mu * np.diag(np.maximum(np.diag(JtJ), 1e-30))
+    c = (direction * moved_bundle.normal).sum(axis=1)
+    scale = np.abs(matrix).max() * np.abs(c).max()
+    assert np.abs(matrix @ c + Jt_rho).max() <= 1e-12 * scale
+    assert slope == pytest.approx(-2.0 * float(Jt_rho @ c), rel=1e-12)
+    assert grad_norm == pytest.approx(2.0 * float(np.linalg.norm(Jt_rho)), rel=1e-12)
+
+
+def test_stale_jacobian_gradient_does_not_end_the_run(monkeypatch):
+    """A gradient taken with a kept Jacobian that meets grad_tol is taken
+    again with a fresh J at the same iterate, and only a fresh gradient ends
+    the run converged.  Here every kept J is scaled by 1e-12, so every stale
+    gradient meets grad_tol and no fresh one does until the flow gets there."""
+    real_feedback = flow._ResidualEngine.feedback
+    real_direction = flow._ResidualEngine.direction
+
+    def keep_scaled(self, *args):
+        Jt, band, diagonal = self.normal_equations
+        real_feedback(self, *args)
+        self.normal_equations, self.stale = (1e-12 * Jt, band, diagonal), True
+
+    log = []       # (iterate, stale, gradient norm) per direction
+
+    def direction(self, m, bundle):
+        out = real_direction(self, m, bundle)
+        log.append((m, self.stale, out[2]))
+        return out
+
+    monkeypatch.setattr(flow._ResidualEngine, "feedback", keep_scaled)
+    monkeypatch.setattr(flow._ResidualEngine, "direction", direction)
+    cfg = FlowConfig(mode="residual_descent", initial_step=0.1,
+                     max_iterations=40, grad_tol=1e-8)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 1), CRITICAL, cfg)
+    assert tr.verdict == "converged" and tr.iterations > 1
+    stale = [k for k, (_, is_stale, _) in enumerate(log) if is_stale]
+    assert len(stale) == tr.iterations
+    assert all(log[k][2] <= cfg.grad_tol for k in stale)
+    for k in stale:      # each followed by a fresh direction at the same iterate
+        assert log[k + 1][0] is log[k][0] and not log[k + 1][1]
+    fresh = [g for _, is_stale, g in log if not is_stale]
+    assert tr.meta["jacobian_builds"] == len(fresh) == tr.iterations + 1
+    assert fresh[-1] <= cfg.grad_tol < min(fresh[:-1])
+
+
+@pytest.mark.parametrize("fresh_search_fails", [False, True])
+def test_failed_line_search_on_stale_jacobian_rebuilds_it(monkeypatch, fresh_search_fails):
+    """A line search that fails on a kept Jacobian rebuilds J at the same
+    iterate and searches again; only a search on a fresh J ends the run
+    stalled.  J is kept after every step without a backtrack, and every
+    trial of the first iterate on a kept J (and, if fresh_search_fails, of
+    its retry) is rejected."""
+    monkeypatch.setattr(flow, "REUSE_CONTRACTION", np.inf)
+    real_direction = flow._ResidualEngine.direction
+    real_objective = flow._ResidualEngine.objective
+    log, target = [], []     # (iterate, stale) per direction; the failing iterate
+
+    def direction(self, m, bundle):
+        out = real_direction(self, m, bundle)
+        log.append((m, self.stale))
+        return out
+
+    def objective(self, m):
+        obj, bundle = real_objective(self, m)
+        if log and not target and log[-1][1]:
+            target.append(log[-1][0])
+        if target and log[-1][0] is target[0] and (log[-1][1] or fresh_search_fails):
+            obj = np.inf
+        return obj, bundle
+
+    monkeypatch.setattr(flow._ResidualEngine, "direction", direction)
+    monkeypatch.setattr(flow._ResidualEngine, "objective", objective)
+    cfg = FlowConfig(mode="residual_descent", initial_step=0.1,
+                     max_iterations=40, grad_tol=1e-8)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 1), CRITICAL, cfg)
+    at_target = [is_stale for m, is_stale in log if m is target[0]]
+    assert at_target == [True, False]
+    assert tr.meta["jacobian_builds"] == sum(not is_stale for _, is_stale in log)
+    if fresh_search_fails:
+        assert tr.verdict == "stalled" and log[-1][0] is target[0]
+    else:
+        assert tr.verdict == "converged" and tr.final_mesh is not target[0]
