@@ -10,7 +10,6 @@ import numpy as np
 
 from .analytic import ParametricSurface, QuadratureGrid, enclosed_volume, oracle_integrate
 from .curvature import curvature_bundle
-from .errors import UndefinedFunctionalError
 from .mesh import TriangleMesh, signed_volume
 
 
@@ -48,12 +47,6 @@ class EnergyReport:
         return {"area": self.area, "volume": self.volume,
                 "willmore": self.willmore, "helfrich": self.helfrich,
                 "lcw": self.lcw, "gap": self.gap}
-
-    def require_closed(self):
-        if not self.closed:
-            raise UndefinedFunctionalError(
-                "volume-weighted functional requested on a non-closed surface")
-        return self
 
 
 def evaluate_energies(source, params: EnergyParams, grid=None) -> EnergyReport:

@@ -42,8 +42,8 @@ pass is mostly per-call overhead, and one block is far cheaper than its
 meshes one by one.  One stack of all 68 level-2 meshes was no faster and
 raised the flow's peak memory by about 7 MB.
 
-Not every step builds a Jacobian: the engine keeps the last J, with J^T,
-J^T J and its band, while it keeps working, as in chord (Shamanskii)
+Not every step builds a Jacobian: the engine keeps the last J, with the
+band of J^T J, while it keeps working, as in chord (Shamanskii)
 Gauss-Newton (Kelley, Solving Nonlinear Equations with Newton's Method,
 SIAM 2003, ch. 2).  J is kept after an accepted step that took no backtrack
 and lowered the objective to at most REUSE_CONTRACTION times its value, and
@@ -62,9 +62,15 @@ J^T J + mu D.  Both matrices are symmetric positive definite and supported on
 the 2-ring and 4-ring of the vertex adjacency, so one band Cholesky solve
 serves both (LAPACK pbsv): the vertices are put in reverse Cuthill-McKee
 order once per flow (Cuthill & McKee 1969), which keeps the lower bandwidth
-at 82 for the metric and 164 for J^T J + mu D on the level-3 icosphere, and
-each direction factors the permuted band.  A matrix that is not numerically
-positive definite gives the steepest-descent step instead.
+at 82 for the metric and 164 for J^T J + mu D on the level-3 icosphere.
+Both are Gram products X^T diag(s) X on a fixed pattern, K on the 1-ring
+with s = 1/M and J on the 2-ring, so index arrays built once per flow
+(_BandIndex) sum each direction's product straight into band storage with
+one np.bincount.  The sums run in the order of the scipy sparse products
+they replace, which keeps the bands bitwise: J^T J over the rows ascending,
+K M^-1 K over the middle vertex descending, since scipy's csr_matmat emits
+each row of K M^-1 in reverse insertion order.  A matrix that is not
+numerically positive definite gives the steepest-descent step instead.
 
 Both engines share one Armijo line search, parametrized by the largest
 vertex displacement and warm-started: its first trial moves no vertex
@@ -222,25 +228,28 @@ def _residual_objective(mesh, params):
 
 
 def _vertex_adjacency(mesh):
-    """The vertex 1-ring adjacency, a symmetric (V, V) CSR pattern of ones."""
+    """The vertex 1-ring: the adjacency plus the identity, a symmetric (V, V)
+    CSR pattern of ones with sorted indices, which is also the cotangent
+    stiffness's pattern."""
     V = mesh.n_vertices
+    vertex = np.arange(V)
     return sp.csr_matrix(
-        (np.ones(len(mesh.he_origin)), (mesh.he_origin, mesh._he_dest)),
-        shape=(V, V))
+        (np.ones(len(mesh.he_origin) + V),
+         (np.concatenate([mesh.he_origin, vertex]),
+          np.concatenate([mesh._he_dest, vertex]))), shape=(V, V))
 
 
-def _jacobian_coloring(adjacency):
+def _jacobian_coloring(ring):
     """2-ring sparsity of the residual Jacobian and a distance-4 coloring.
 
-    Column j of J is supported on j's 2-ring, the pattern of (A + I)^2 with
-    A the vertex adjacency; that pattern is symmetric on a closed mesh, so
-    its CSR arrays are also J's CSC arrays.  Vertices that share no entry of
-    (A + I)^4 have disjoint columns and take one color, assigned greedily in
-    vertex order.  Returns (indptr, indices, colors).
+    Row i of J, the residual at vertex i, reads only i's 2-ring, the pattern
+    of ring^2 with ring the 1-ring A + I; that pattern is symmetric on a
+    closed mesh, so column j is supported on j's 2-ring too.  Vertices that
+    share no entry of ring^4 have disjoint columns and take one color,
+    assigned greedily in vertex order.  Returns (indptr, indices, colors).
     """
-    V = adjacency.shape[0]
-    ring1 = adjacency + sp.identity(V, format="csr")
-    ring2 = ring1 @ ring1
+    V = ring.shape[0]
+    ring2 = ring @ ring
     ring2.sort_indices()
     ring4 = ring2 @ ring2
     indptr, indices = ring4.indptr.tolist(), ring4.indices.tolist()
@@ -256,37 +265,62 @@ def _jacobian_coloring(adjacency):
 
 class _BandSolver:
     """Band Cholesky solves of SPD matrices on one mesh's vertices, in the
-    reverse Cuthill-McKee order of its adjacency, computed once.  ``band``
-    scatters a matrix's permuted lower band into LAPACK band storage;
-    ``bandwidth`` is the widest lower band scattered so far."""
+    reverse Cuthill-McKee order of its adjacency, computed once."""
 
     def __init__(self, adjacency):
         self.order = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-        self.rank = np.empty_like(self.order)
+        self.rank = np.empty(len(self.order), dtype=np.intp)
         self.rank[self.order] = np.arange(len(self.order))
-        self.bandwidth = 0
-
-    def band(self, matrix):
-        """The lower band of the symmetric sparse matrix in RCM order, row
-        k holding the k-th subdiagonal; row 0 is the diagonal."""
-        coo = matrix.tocoo()
-        row, col = self.rank[coo.row], self.rank[coo.col]
-        lower = row >= col
-        offset, col = row[lower] - col[lower], col[lower]
-        width = int(offset.max())
-        self.bandwidth = max(self.bandwidth, width)
-        # Fortran order, as LAPACK reads it: the factor overwrites the band
-        # in place instead of a copy.
-        band = np.zeros((width + 1, len(self.order)), order="F")
-        band[offset, col] = coo.data[lower]
-        return band
 
     def solve(self, band, rhs):
-        """x with matrix x = rhs, the band overwritten by its factor; raises
-        LinAlgError unless the matrix is numerically positive definite."""
+        """x with matrix x = rhs, the matrix given by its ``_BandIndex.band``
+        and overwritten by its factor; raises LinAlgError unless the matrix
+        is numerically positive definite."""
         return solveh_banded(band, rhs[self.order], overwrite_ab=True,
                              overwrite_b=True, lower=True,
                              check_finite=False)[self.rank]
+
+
+class _BandIndex:
+    """X^T diag(s) X for X on one fixed symmetric CSR pattern (indptr,
+    indices), summed straight into LAPACK lower band storage in the order
+    ``rank`` gives the vertices.
+
+    For each pattern row r, the pairs (a, b) of its entries with
+    rank(col a) >= rank(col b), and each pair's slot in the flat
+    Fortran-order (width + 1, V) band.  A band is then one np.bincount of
+    the terms (x[a] s[r]) x[b], which adds each slot's terms in pair order:
+    the rows ascending, or descending if ``descending``.
+    """
+
+    def __init__(self, indptr, indices, rank, descending=False):
+        V = len(indptr) - 1
+        self.row = np.repeat(np.arange(V), np.diff(indptr))
+        col = rank[indices]
+        # Each row's entries by the rank of their column; position k of this
+        # order pairs with positions k, k - 1, ... down to its row's start.
+        by_rank = np.lexsort((col, self.row))
+        count = np.arange(len(indices)) - indptr[self.row] + 1
+        k = np.repeat(np.arange(len(indices)), count)
+        lo = k - (np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count))
+        self.a, self.b = by_rank[k], by_rank[lo]
+        offset, col_b = col[self.a] - col[self.b], col[self.b]
+        self.width = int(offset.max())
+        self.shape = (self.width + 1, V)
+        self.slot = offset + (self.width + 1) * col_b
+        if descending:
+            self.a, self.b, self.slot = (v[::-1].copy() for v in
+                                         (self.a, self.b, self.slot))
+
+    def band(self, x, s=None):
+        """The lower band of X^T diag(s) X, X given by its data on the
+        pattern and s by default all ones; row 0 is the diagonal."""
+        left = x if s is None else x * s[self.row]
+        flat = np.bincount(self.slot, left[self.a] * x[self.b],
+                           self.shape[0] * self.shape[1])
+        # Fortran order, as LAPACK reads it: the factor overwrites the band
+        # in place instead of a copy.
+        return flat.reshape(self.shape, order="F")
 
 
 class _PhaseClock:
@@ -305,8 +339,9 @@ class _PhaseClock:
 
 
 class _Engine:
-    """What both descent engines share: the band solver, ordered once for the
-    flow's mesh, and the step through it."""
+    """What both descent engines share: the 1-ring, the band solver, ordered
+    once for the flow's mesh, and the step through it.  Each engine builds
+    the band index of its own system, ``index``."""
 
     # The kept derivatives come from an earlier iterate than the current
     # one; only residual descent keeps any.
@@ -316,12 +351,12 @@ class _Engine:
         self.params = params
         self.evaluations = 0
         self.clock = _PhaseClock()
-        self.adjacency = _vertex_adjacency(mesh)
-        self.solver = _BandSolver(self.adjacency)
+        self.ring = _vertex_adjacency(mesh)
+        self.solver = _BandSolver(self.ring)
 
     def step(self, band, rhs, g, normals):
         """Normal step c nu with matrix c = rhs, the matrix given by its
-        ``_BandSolver.band``, and its slope -g.c; plain steepest descent,
+        ``_BandIndex.band``, and its slope -g.c; plain steepest descent,
         c = -g, when the matrix is not numerically positive definite or the
         slope is not positive."""
         try:
@@ -338,7 +373,7 @@ class _Engine:
 
     def counters(self):
         return {"residual_evaluations": self.evaluations,
-                "solve_bandwidth": self.solver.bandwidth}
+                "solve_bandwidth": self.index.width}
 
 
 class _ResidualEngine(_Engine):
@@ -347,11 +382,14 @@ class _ResidualEngine(_Engine):
     def __init__(self, params, mesh):
         super().__init__(params, mesh)
         self.mu = 1e-3
-        self.indptr, self.indices, self.colors = _jacobian_coloring(self.adjacency)
+        self.indptr, self.indices, self.colors = _jacobian_coloring(self.ring)
         self.n_colors = int(self.colors.max()) + 1
-        # Color of the column each stored entry of J belongs to.
-        self.entry_color = np.repeat(self.colors, np.diff(self.indptr))
-        # (J^T, band of J^T J, diagonal of J^T J) of the kept Jacobian.
+        self.index = _BandIndex(self.indptr, self.indices, self.solver.rank)
+        # Row of each stored entry of J, and the color of its column.
+        self.entry_row = self.index.row
+        self.entry_color = self.colors[self.indices]
+        # (J, band of J^T J) of the kept Jacobian; row 0 of the band is D in
+        # RCM order.
         self.normal_equations = None
         self.jacobian_builds = 0
 
@@ -366,7 +404,7 @@ class _ResidualEngine(_Engine):
     def jacobian(self, mesh, normals):
         """Central differences of the weighted residual along the vertex
         normals, every vertex of one color perturbed in the same pair of
-        evaluations; a sparse (V, V) CSC matrix.
+        evaluations; J's data on its 2-ring CSR pattern (indptr, indices).
 
         The perturbed positions are rows (plus_0, minus_0, plus_1, ...) of
         one (2 x colors, V, 3) stack, which goes through the face pass in
@@ -388,8 +426,7 @@ class _ResidualEngine(_Engine):
             for k in range(len(bundle.vertex_area)):
                 rho[start + k] = self._rho(bundle, k)
         diff = (rho[0::2] - rho[1::2]) / (2.0 * h)
-        return sp.csc_matrix((diff[self.entry_color, self.indices],
-                              self.indices, self.indptr), shape=(V, V))
+        return diff[self.entry_color, self.entry_row]
 
     def direction(self, mesh, bundle):
         """Damped Gauss-Newton: (J^T J + mu D) c = -J^T rho, D the diagonal
@@ -403,15 +440,14 @@ class _ResidualEngine(_Engine):
                 J = self.jacobian(mesh, bundle.normal)
         with self.clock("solve_s"):
             if fresh:
-                JtJ = J.T @ J
-                self.normal_equations = (J.T, self.solver.band(JtJ), JtJ.diagonal())
+                self.normal_equations = (J, self.index.band(J))
                 self.jacobian_builds += 1
-            Jt, JtJ_band, diagonal = self.normal_equations
-            Jt_rho = Jt @ rho0
+            J, JtJ = self.normal_equations
+            Jt_rho = np.bincount(self.indices, J * rho0[self.entry_row],
+                                 len(rho0))
             g = 2.0 * Jt_rho
-            damp = self.mu * np.maximum(diagonal, 1e-30)
-            band = JtJ_band.copy(order="F")
-            band[0] += damp[self.solver.order]
+            band = JtJ.copy(order="F")
+            band[0] += self.mu * np.maximum(band[0], 1e-30)
             direction, slope = self.step(band, -Jt_rho, g, bundle.normal)
             return direction, slope, float(np.linalg.norm(g))
 
@@ -437,6 +473,12 @@ class _ResidualEngine(_Engine):
 class _EnergyEngine(_Engine):
     """Descent along the H^2-Sobolev gradient of the energy."""
 
+    def __init__(self, params, mesh):
+        super().__init__(params, mesh)
+        # K's sorted CSR arrays are the 1-ring's: its data is X, 1/M is s.
+        self.index = _BandIndex(self.ring.indptr, self.ring.indices,
+                                self.solver.rank, descending=True)
+
     def objective(self, mesh):
         bundle = curvature_bundle(mesh)
         return _mesh_energies(mesh, self.params, bundle).helfrich, bundle
@@ -452,9 +494,10 @@ class _EnergyEngine(_Engine):
             op = cotan_operator(mesh)
             K, M = op.stiffness, op.mass
             sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
-            metric = sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
-            direction, slope = self.step(self.solver.band(metric), -g, g,
-                                         bundle.normal)
+            metric = self.index.band(K.data, 1.0 / M)
+            metric *= sigma
+            metric[0] += M[self.solver.order]
+            direction, slope = self.step(metric, -g, g, bundle.normal)
             return (direction, slope,
                     float(np.linalg.norm(g[:, None] * bundle.normal)))
 

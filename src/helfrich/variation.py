@@ -142,26 +142,22 @@ def volume_gradient(mesh: TriangleMesh) -> np.ndarray:
     return out
 
 
-def energy_gradient(mesh: TriangleMesh, params: EnergyParams,
-                    method="assembled") -> np.ndarray:
-    """Per-vertex 3-vector gradient of the Helfrich total.
-
-    assembled: normal L^2 gradient 0.5 * residual * vertex area * inward
-    normal (tangential motion is reparametrization and omitted), the only
-    method; ``directional_derivative_fd`` and ``gradient_check`` give the
+def energy_gradient(mesh: TriangleMesh, params: EnergyParams) -> np.ndarray:
+    """Per-vertex 3-vector gradient of the Helfrich total, assembled: the
+    normal L^2 gradient 0.5 * residual * vertex area * inward normal
+    (tangential motion is reparametrization and omitted);
+    ``directional_derivative_fd`` and ``gradient_check`` give the
     finite-difference cross-check.
     """
     if not mesh.closed and not (params.lam1 == 0.0 and params.lam2 == 0.0):
         raise UndefinedFunctionalError(
             "area/volume-weighted gradient on an open mesh")
-    if method == "assembled":
-        bundle = curvature_bundle(mesh)
-        return _gradient_coefficient(mesh, bundle, params)[:, None] * bundle.normal
-    raise ValueError(f"unknown method {method!r}")
+    bundle = curvature_bundle(mesh)
+    return _gradient_coefficient(mesh, bundle, params)[:, None] * bundle.normal
 
 
 def directional_derivative_fd(mesh, params, direction, h=None,
-                              energy_fn=None, richardson=True) -> float:
+                              energy_fn=None) -> float:
     """Central finite difference of the energy along a vertex displacement.
 
     Richardson extrapolation removes the h^2 term, which in particular makes
@@ -177,8 +173,6 @@ def directional_derivative_fd(mesh, params, direction, h=None,
         minus = fn(mesh.with_positions(mesh.vertices - step * direction))
         return (plus - minus) / (2.0 * step)
 
-    if not richardson:
-        return central(h)
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
@@ -225,7 +219,7 @@ def gradient_check(mesh: TriangleMesh, params: EnergyParams, n_fields=20,
     fields = random_smooth_fields(mesh, n_fields, seed=seed)
     g_area = area_gradient(mesh)
     g_vol = volume_gradient(mesh)
-    g_full = energy_gradient(mesh, params, method="assembled")
+    g_full = energy_gradient(mesh, params)
     diag = mesh.bbox_diagonal()
     # Richardson cancels the h^2 term exactly, so the polynomial volume can
     # take a large step (pure roundoff control); area and the full energy

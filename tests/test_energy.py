@@ -8,7 +8,6 @@ import pytest
 import helfrich as hf
 from helfrich.analytic import catenoid, sphere
 from helfrich.energy import EnergyParams, evaluate_energies, localized_gap
-from helfrich.errors import UndefinedFunctionalError
 
 
 def test_sphere_oracle_closed_forms():
@@ -31,8 +30,6 @@ def test_catenoid_oracle_partial_report():
     assert abs(rep.willmore) < 1e-20
     assert rep.gap == pytest.approx(8 * np.pi * np.tanh(2.0), rel=1e-10)
     assert rep.volume is None and rep.lcw is None and rep.helfrich is None
-    with pytest.raises(UndefinedFunctionalError):
-        rep.require_closed()
 
 
 def test_breakdown_reproduces_total():

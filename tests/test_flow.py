@@ -199,11 +199,18 @@ def _dense_fd_jacobian(mesh, params):
     return J
 
 
+def _sparse_jacobian(engine, J):
+    """The residual engine's Jacobian data J on its 2-ring pattern as a
+    sparse CSC matrix."""
+    V = len(engine.indptr) - 1
+    return sp.csr_matrix((J, engine.indices, engine.indptr), shape=(V, V)).tocsc()
+
+
 @pytest.mark.parametrize("level", [2, 3])
 def test_colored_jacobian_equals_dense_fd_bitwise(level):
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
     engine = flow._ResidualEngine(CRITICAL, mesh)
-    J = engine.jacobian(mesh, curvature_bundle(mesh).normal)
+    J = _sparse_jacobian(engine, engine.jacobian(mesh, curvature_bundle(mesh).normal))
     assert engine.evaluations == 2 * engine.n_colors
     assert np.array_equal(J.toarray(), _dense_fd_jacobian(mesh, CRITICAL))
 
@@ -293,7 +300,7 @@ def test_energy_direction_is_the_sobolev_gradient(monkeypatch):
     direction, slope, grad_norm = engine.direction(mesh, bundle)
     assert len(passes) == 1
     monkeypatch.undo()
-    G = energy_gradient(mesh, EnergyParams(), method="assembled")
+    G = energy_gradient(mesh, EnergyParams())
     normals = curvature_bundle(mesh).normal
     g = (G * normals).sum(axis=1)
     c = (direction * normals).sum(axis=1)
@@ -395,6 +402,61 @@ def _sobolev_metric(mesh):
     return sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
 
 
+def _scatter_band(solver, matrix):
+    """Reference band: the lower band of a symmetric sparse matrix in the
+    solver's order, scattered entry by entry from its COO form."""
+    coo = matrix.tocoo()
+    row, col = solver.rank[coo.row], solver.rank[coo.col]
+    lower = row >= col
+    offset, col = row[lower] - col[lower], col[lower]
+    band = np.zeros((offset.max() + 1, len(solver.order)), order="F")
+    band[offset, col] = coo.data[lower]
+    return band
+
+
+def _sheared_sphere():
+    """An icosphere flattened and sheared until its faces take the obtuse
+    mixed-area fallback."""
+    m = hf.icosphere(1.0, 3)
+    v = m.vertices * [1.0, 1.0, 0.15]
+    v[:, 0] += 0.7 * v[:, 1]
+    return hf.TriangleMesh(v, m.faces)
+
+
+@pytest.mark.parametrize("system, make", [
+    *(("metric", lambda level=level: hf.perturbed_sphere(2.0, 0.05, level))
+      for level in (1, 2, 3)),
+    ("metric", _sheared_sphere),
+    *(("normal", lambda level=level: hf.perturbed_sphere(2.0, 0.05, level))
+      for level in (1, 2, 3)),
+], ids=["metric_L1", "metric_L2", "metric_L3", "metric_sheared",
+        "normal_L1", "normal_L2", "normal_L3"])
+def test_band_assembly_matches_sparse_products_bitwise(monkeypatch, system, make):
+    """The band a direction factors is bitwise the COO scatter of the scipy
+    products: M + sigma K diag(1/M) K for energy descent, J^T J + mu D for
+    residual descent, summed in the order csr_matmat sums them."""
+    mesh = make()
+    bundle = curvature_bundle(mesh)
+    assert (bundle.obtuse_faces > 0) == (make is _sheared_sphere)
+    engine = (flow._EnergyEngine(EnergyParams(), mesh) if system == "metric"
+              else flow._ResidualEngine(CRITICAL, mesh))
+    bands = []
+    real_step = flow._Engine.step
+    monkeypatch.setattr(flow._Engine, "step", lambda self, band, *args: (
+        bands.append(band.copy(order="F")) or real_step(self, band, *args)))
+    engine.direction(mesh, bundle)
+    if system == "metric":
+        matrix = _sobolev_metric(mesh)
+    else:
+        J = _sparse_jacobian(engine, engine.normal_equations[0])
+        JtJ = J.T @ J
+        matrix = JtJ + sp.diags(engine.mu * np.maximum(JtJ.diagonal(), 1e-30))
+    reference = _scatter_band(engine.solver, matrix)
+    assert len(bands) == 1 and bands[0].flags.f_contiguous
+    assert bands[0].shape == reference.shape == (engine.index.width + 1, mesh.n_vertices)
+    assert np.array_equal(bands[0], reference)
+
+
 @pytest.mark.parametrize("system, level", [("metric", 2), ("metric", 3), ("metric", 4),
                                            ("normal", 2), ("normal", 3)])
 def test_band_solve_matches_sparse_lu(system, level):
@@ -404,33 +466,34 @@ def test_band_solve_matches_sparse_lu(system, level):
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
     normals = curvature_bundle(mesh).normal
     if system == "metric":
+        engine = flow._EnergyEngine(EnergyParams(), mesh)
         matrix = _sobolev_metric(mesh)
-        rhs = -(energy_gradient(mesh, EnergyParams(), method="assembled")
+        rhs = -(energy_gradient(mesh, EnergyParams())
                 * normals).sum(axis=1)
         rings = 2
     else:
         engine = flow._ResidualEngine(CRITICAL, mesh)
-        J = engine.jacobian(mesh, normals)
+        J = _sparse_jacobian(engine, engine.jacobian(mesh, normals))
         JtJ = J.T @ J
         matrix = JtJ + sp.diags(engine.mu * JtJ.diagonal())
         rhs = -(J.T @ flow._weighted_residual(curvature_bundle(mesh), CRITICAL))
         rings = 4
-    adjacency = flow._vertex_adjacency(mesh)
-    solver = flow._BandSolver(adjacency)
-    x = solver.solve(solver.band(matrix), rhs)
+    adjacency, solver = engine.ring, engine.solver
+    x = solver.solve(_scatter_band(solver, matrix), rhs)
     reference = splu(matrix.tocsc()).solve(rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
     edges = adjacency.tocoo()
     adjacency_width = np.abs(solver.rank[edges.row] - solver.rank[edges.col]).max()
-    assert 0 < solver.bandwidth <= rings * adjacency_width < mesh.n_vertices
+    assert 0 < engine.index.width <= rings * adjacency_width < mesh.n_vertices
 
 
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_flow_orders_once_and_reports_its_bandwidth(monkeypatch, mode):
-    """One reverse Cuthill-McKee ordering per flow, one band factorization
-    per direction, and the widest band in meta."""
-    orders, widths = [], []
+    """One reverse Cuthill-McKee ordering and one band index per flow, one
+    band factorization per direction, and the widest band in meta."""
+    orders, indexes, widths = [], [], []
     real_order, real_band = flow.reverse_cuthill_mckee, flow.solveh_banded
+    real_index = flow._BandIndex
 
     def band(ab, b, **kwargs):
         widths.append(len(ab) - 1)
@@ -440,9 +503,11 @@ def test_flow_orders_once_and_reports_its_bandwidth(monkeypatch, mode):
                         lambda *args, **kwargs: orders.append(1) or
                         real_order(*args, **kwargs))
     monkeypatch.setattr(flow, "solveh_banded", band)
+    monkeypatch.setattr(flow, "_BandIndex", lambda *args, **kwargs:
+                        indexes.append(1) or real_index(*args, **kwargs))
     cfg = FlowConfig(mode=mode, max_iterations=6, log_every=2)
     tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 2), CRITICAL, cfg)
-    assert len(orders) == 1
+    assert len(orders) == len(indexes) == 1
     assert len(widths) == tr.iterations + (tr.verdict != "max_iters")
     assert tr.meta["solve_bandwidth"] == max(widths) > 0
 
@@ -458,11 +523,11 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
     normals = curvature_bundle(mesh).normal
     if mode == "residual_descent":
         engine = flow._ResidualEngine(CRITICAL, mesh)
-        J = engine.jacobian(mesh, normals)
+        J = _sparse_jacobian(engine, engine.jacobian(mesh, normals))
         g = 2.0 * (J.T @ flow._weighted_residual(curvature_bundle(mesh), CRITICAL))
     else:
         engine = flow._EnergyEngine(CRITICAL, mesh)
-        g = (energy_gradient(mesh, CRITICAL, method="assembled") * normals).sum(axis=1)
+        g = (energy_gradient(mesh, CRITICAL) * normals).sum(axis=1)
     monkeypatch.setattr(flow, "solveh_banded", not_positive_definite)
     direction, slope, grad_norm = engine.direction(mesh, curvature_bundle(mesh))
     scale = np.abs(g).max()
@@ -521,7 +586,8 @@ def test_direction_on_kept_jacobian_solves_its_normal_equations(monkeypatch):
     engine = flow._ResidualEngine(CRITICAL, mesh)
     obj, bundle = engine.objective(mesh)
     engine.direction(mesh, bundle)
-    J = flow._ResidualEngine(CRITICAL, mesh).jacobian(mesh, bundle.normal).toarray()
+    fresh = flow._ResidualEngine(CRITICAL, mesh)
+    J = _sparse_jacobian(fresh, fresh.jacobian(mesh, bundle.normal)).toarray()
     moved = mesh.with_positions(mesh.vertices + 1e-3 * bundle.normal)
     _, moved_bundle = engine.objective(moved)
     engine.feedback(0, obj, flow.REUSE_CONTRACTION * obj)
@@ -552,9 +618,9 @@ def test_stale_jacobian_gradient_does_not_end_the_run(monkeypatch):
     real_direction = flow._ResidualEngine.direction
 
     def keep_scaled(self, *args):
-        Jt, band, diagonal = self.normal_equations
+        J, band = self.normal_equations
         real_feedback(self, *args)
-        self.normal_equations, self.stale = (1e-12 * Jt, band, diagonal), True
+        self.normal_equations, self.stale = (1e-12 * J, band), True
 
     log = []       # (iterate, stale, gradient norm) per direction
 

@@ -170,15 +170,10 @@ def test_fd_and_assembled_gradients_agree_directionally():
     m = hf.perturbed_sphere(1.0, 0.05, 2)
     params = EnergyParams(0.0, 1.0, -1.0)
     g_fd = _fd_energy_gradient(m, params)
-    g_as = energy_gradient(m, params, method="assembled")
+    g_as = energy_gradient(m, params)
     for d in random_smooth_fields(m, 5, seed=0):
         a, b = float((g_fd * d).sum()), float((g_as * d).sum())
         assert abs(a - b) / max(abs(a), abs(b), 1e-12) < 0.1
-
-
-def test_energy_gradient_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        energy_gradient(hf.icosphere(1.0, 1), EnergyParams(), method="finite_difference")
 
 
 def test_open_mesh_lambda_energy_undefined():
