@@ -521,13 +521,16 @@ def _energies_from_jet(surface, jet2, ww, params):
             "willmore": willmore, "volume": volume, "helfrich": helfrich}
 
 
-def perturbed_energies(surface, fld: AmbientField, t, grid, params):
-    """Exact functionals of the immersion f + t*phi*nu at quadrature nodes."""
+def perturbed_energies(surface, fld: AmbientField, ts, grid, params):
+    """Exact functionals of the immersions f + t*phi*nu at quadrature nodes,
+    as {t: energies} for each step t in ``ts``.  The chart jets of the
+    surface, its normal and the field do not depend on t and are taken once."""
     uu, vv, ww = grid.mesh()
     j = surface.jet(uu, vv, order=3)
     nj = _normal_jet(j, surface.normal_sign, order=2)
     pj = fld.chart_jet(j)
-    return _energies_from_jet(surface, _perturbed_jet(j, nj, pj, t), ww, params)
+    return {t: _energies_from_jet(surface, _perturbed_jet(j, nj, pj, t), ww, params)
+            for t in ts}
 
 
 # -- first-variation cross-check ----------------------------------------------
@@ -601,8 +604,8 @@ def variation_check(surface, params, fld: AmbientField, h=1e-2,
             lapH, H, K, geom.tracefree_sq, params) * dmu).sum()),
     }
 
-    evals = {t: perturbed_energies(surface, fld, t, grid, params)
-             for t in (h, -h, h / 2, -h / 2, h / 4, -h / 4)}
+    evals = perturbed_energies(surface, fld, (h, -h, h / 2, -h / 2, h / 4, -h / 4),
+                               grid, params)
 
     rows = {}
     for name, exact in formulas.items():

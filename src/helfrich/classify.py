@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .energy import EnergyParams
 from .errors import ParameterError
@@ -70,7 +69,16 @@ class ScanTable:
         return float(np.abs(self.residual).min())
 
     def roots(self, tol=1e-14):
-        """Sign-change roots of the closed-form residual, refined by brentq."""
+        """Sign-change roots of the closed-form residual, refined by brentq.
+
+        scipy.optimize is imported here, on the first call, not with the
+        module: it is about 170 of the 800 modules an eager import would
+        load, and only scans and classification refine a root.  A process
+        that only builds meshes, evaluates energies or runs flows never
+        loads it.
+        """
+        from scipy.optimize import brentq
+
         out = []
         r = self.residual
         for i in np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]:

@@ -141,7 +141,12 @@ class TriangleMesh:
         self._duplicate_directed = dup
 
         twin_code = he_dest * np.int64(V) + self.he_origin
-        pos = np.minimum(np.searchsorted(sorted_code, twin_code), max(3 * F - 1, 0))
+        # Searching in twin-code order walks sorted_code once instead of
+        # jumping about it; each query's position is the same.
+        queries = np.argsort(twin_code)
+        pos = np.empty_like(queries)
+        pos[queries] = np.searchsorted(sorted_code, twin_code[queries])
+        pos = np.minimum(pos, max(3 * F - 1, 0))
         found = sorted_code[pos] == twin_code
         twin = np.full(3 * F, -1, dtype=np.int64)
         twin[found] = order[pos[found]]

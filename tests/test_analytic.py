@@ -4,6 +4,7 @@ and the localized estimate table."""
 import numpy as np
 import pytest
 
+from helfrich import analytic
 from helfrich.analytic import (
     AmbientField,
     QuadratureGrid,
@@ -222,6 +223,46 @@ def test_variation_orders():
     row = rep.rows["area"]
     assert 1.7 < row.order_plain < 2.3           # h^2 before extrapolation
     assert 3.4 < row.order_richardson < 4.6      # h^4 after
+
+
+def _perturbed_energies_per_step(surface, fld, ts, grid, params):
+    """Reference: each step t takes the surface, normal and field jets anew."""
+    out = {}
+    for t in ts:
+        uu, vv, ww = grid.mesh()
+        j = surface.jet(uu, vv, order=3)
+        nj = analytic._normal_jet(j, surface.normal_sign, order=2)
+        pj = fld.chart_jet(j)
+        out[t] = analytic._energies_from_jet(
+            surface, analytic._perturbed_jet(j, nj, pj, t), ww, params)
+    return out
+
+
+@pytest.mark.parametrize("surface", [sphere(1.3), torus(2.0, 1.0)],
+                         ids=["sphere", "torus"])
+def test_variation_check_takes_jets_once_and_matches_per_step_bitwise(surface,
+                                                                      monkeypatch):
+    fields = [AmbientField.constant(0.8),
+              AmbientField.sinusoid((1.0, 0.5, 0.3), 0.3),
+              AmbientField.polynomial(linear=(0.2, -0.1, 0.4),
+                                      quad=np.diag([0.3, -0.2, 1.0]), const=0.1)]
+    params = EnergyParams(0.4, 1.0, -1.0)
+    calls = []
+    normal_jet = analytic._normal_jet
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return normal_jet(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_normal_jet", counted)
+    reports = []
+    for fld in fields:
+        calls.clear()
+        reports.append(variation_check(surface, params, fld, h=5e-3))
+        assert len(calls) == 1
+    monkeypatch.setattr(analytic, "perturbed_energies", _perturbed_energies_per_step)
+    for fld, rep in zip(fields, reports):
+        assert repr(rep) == repr(variation_check(surface, params, fld, h=5e-3))
 
 
 def test_variation_open_surface_unsupported():

@@ -1,5 +1,11 @@
 """Branch classification over the sphere and plane families."""
 
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +27,37 @@ def test_scan_bracket_root():
     roots = table.roots()
     assert len(roots) == 1
     assert roots[0] == pytest.approx(2.0, abs=1e-12)
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import helfrich, helfrich.cli
+    from helfrich import EnergyParams, FlowConfig, flow_run, icosphere, radius_scan
+    seen = {"import": "scipy.optimize" in sys.modules}
+    for mode in ("energy_descent", "residual_descent"):
+        flow_run(icosphere(1.0, 1), EnergyParams(0.0, 1.0, -1.0),
+                 FlowConfig(mode=mode, max_iterations=3))
+        seen[mode] = "scipy.optimize" in sys.modules
+    seen["roots"] = radius_scan(EnergyParams(0.0, 1.0, -1.0), 0.5, 4.0, 200).roots()
+    seen["after_roots"] = "scipy.optimize" in sys.modules
+    print(json.dumps(seen))
+""")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize loads only when a scan refines a root.  pytest's own
+    process has it loaded by other tests, so a fresh interpreter checks."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not seen["import"]
+    assert not seen["energy_descent"]
+    assert not seen["residual_descent"]
+    assert len(seen["roots"]) == 1
+    assert abs(seen["roots"][0] - 2.0) <= 1e-12
+    assert seen["after_roots"]
 
 
 def test_scan_positive_lambda2_no_root():

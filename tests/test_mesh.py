@@ -343,6 +343,52 @@ def test_load_rejects_nonmanifold(tmp_path):
         hf.load_mesh(path)
 
 
+def _reference_halfedges(faces, V):
+    """Twin lookup with unsorted queries: (twin, duplicate, n_edges, closed)."""
+    F = len(faces)
+    origin = faces.reshape(-1)
+    k = np.tile(np.arange(3, dtype=np.int64), F)
+    dest = origin[np.repeat(np.arange(F, dtype=np.int64), 3) * 3 + (k + 1) % 3]
+    code = origin * np.int64(V) + dest
+    order = np.argsort(code, kind="stable")
+    sorted_code = code[order]
+    dup = np.zeros(3 * F, dtype=bool)
+    rep = sorted_code[1:] == sorted_code[:-1]
+    dup[order[1:][rep]] = True
+    dup[order[:-1][rep]] = True
+    twin_code = dest * np.int64(V) + origin
+    pos = np.minimum(np.searchsorted(sorted_code, twin_code), max(3 * F - 1, 0))
+    found = sorted_code[pos] == twin_code
+    twin = np.full(3 * F, -1, dtype=np.int64)
+    twin[found] = order[pos[found]]
+    twin[dup] = -1
+    twin[(twin >= 0) & dup[twin]] = -1
+    n_bdry = int((twin < 0).sum())
+    n_edges = (3 * F + n_bdry) // 2 if not dup.any() else int(
+        len(np.unique(np.minimum(code, twin_code))))
+    return twin, dup, n_edges, n_bdry == 0 and not dup.any()
+
+
+def _soup_with_duplicated_edge():
+    base = hf.icosphere(1.0, 1)
+    faces = np.vstack([base.faces, base.faces[:1], base.faces[1:2, ::-1],
+                       [[0, 1, 2], [0, 1, 3]]])
+    return hf.TriangleMesh(base.vertices, faces)
+
+
+@pytest.mark.parametrize("make", [lambda: hf.icosphere(1.0, 3),
+                                  lambda: hf.catenoid_mesh(1.0, 1.0, (12, 16)),
+                                  _soup_with_duplicated_edge],
+                         ids=["icosphere", "catenoid", "soup"])
+def test_twin_lookup_matches_unsorted_queries(make):
+    m = make()
+    twin, dup, n_edges, closed = _reference_halfedges(m.faces, len(m.vertices))
+    assert np.array_equal(m.he_twin, twin)
+    assert np.array_equal(m._duplicate_directed, dup)
+    assert m.n_edges == n_edges
+    assert m.closed == closed
+
+
 def test_with_positions_shares_connectivity():
     m = hf.icosphere(1.0, 2)
     shifted = m.with_positions(m.vertices + [1.0, 0.0, 0.0])
