@@ -25,7 +25,8 @@ for row in trace.rows:
     print(f"  it {row.iteration:3d}  objective {row.objective:10.3e}  "
           f"fit radius {row.fit_radius:.5f}  rms {row.fit_rms:.2e}")
 last = trace.rows[-1]
-print(f"verdict: {trace.verdict} ({trace.message})")
+print(f"verdict: {trace.verdict}, stop reason {trace.meta['stop_reason']} "
+      f"({trace.message})")
 print(f"{trace.iterations} iterations, {trace.meta['jacobian_builds']} Jacobian builds")
 print(f"endpoint radius {last.fit_radius:.5f} vs predicted 2.0 "
       f"({abs(last.fit_radius - 2) / 2:.3%} off), rms {last.fit_rms:.2e}")

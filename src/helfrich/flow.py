@@ -50,11 +50,13 @@ and lowered the objective to at most REUSE_CONTRACTION times its value, and
 rebuilt otherwise; a direction on a kept J evaluates only rho and mu D.  A
 stale J, one built at an earlier iterate, never decides how a run ends: a
 gradient that meets grad_tol is taken again with a fresh J before the run
-ends converged, and a line search that fails rebuilds J at the same iterate
-and searches again before the run ends stalled.  With the factor at 0.25
-the level-3 flow builds 8 Jacobians in 15 iterations instead of 15 in 14;
+ends converged, a line search that fails rebuilds J at the same iterate
+and searches again before the run ends stalled, and a step on a kept J
+never meets the ftol test below.  With the factor at 0.25 the level-3 flow
+built 8 Jacobians in 15 iterations, run to grad_tol, instead of 15 in 14;
 keeping J after every step without a backtrack took it 39 iterations, and a
-factor of 0.5 took 33.
+factor of 0.5 took 33.  Under the ftol test it builds 7 in 15 iterations,
+and the level-4 flow 10 in 21.
 
 Both engines solve one kind of system: energy descent the metric
 M + sigma K M^-1 K, residual descent the damped normal equations
@@ -77,10 +79,29 @@ vertex displacement and warm-started: its first trial moves no vertex
 farther than initial_step, nor farther than WARM_START_FACTOR times the
 previous accepted displacement, so a flow whose steps have shrunk does not
 spend its evaluations halving down from initial_step on every iteration.
+A search that halves below STEP_TOL ends the run stalled.
 Each objective evaluation returns the curvature bundle it computed, and the
 flow carries the accepted trial's bundle into the next direction and trace
 row, so every iterate goes through the face pass once; only energy descent's
 cotangent operator, whose columns the bundle does not keep, runs its own.
+
+grad_tol and STEP_TOL are absolute, and on fine meshes neither engine meets
+them where its objective stops falling.  Energy descent's assembled gradient
+is not the exact derivative of the discrete energy, so its norm stays above
+1e-4; residual descent reaches a roundoff floor of its objective from level
+4 on (about 1.3e-15, with the gradient norm near 6e-7).  So a run also ends
+stalled once its objective stops falling relative to its scale, the ftol
+test of L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995):
+after accepted step k, when f[k - 3] - f[k] <= FTOL max(|f[k]|, |f[0]|).
+Without it the level-3 energy flow spent about 27 of its 79 evaluations
+halving its last step down to STEP_TOL, and the level-4 residual flow took
+19 steps to its iteration cap that moved the radius by less than 1e-13;
+with it they end after 15 iterations (36 evaluations) and 21 (10 Jacobian
+builds), with W equal to 3e-10 relative and the radius to 4e-14.  A
+step tolerance relative to the mesh size would not serve both engines:
+energy steps where the energy stops falling are 1e-6 to 5e-8 of the
+bounding-box diagonal, while level-3 residual steps fall to 9e-9 of it while
+still converging quadratically.
 
 The summary's meta reports the seconds of each phase (PHASES): the
 derivative (the Jacobian, or the energy's assembled gradient), the solve
@@ -114,12 +135,16 @@ from .variation import FD_STEP_REL, _gradient_coefficient, _mesh_residual
 
 MODES = ("energy_descent", "residual_descent")
 # converged: gradient norm at or below grad_tol; stalled: no acceptable step
-# above STEP_TOL.
+# above STEP_TOL, or the objective fell by at most FTOL of its scale over the
+# last FTOL_WINDOW accepted steps.  meta's stop_reason names the test:
+# grad_tol, ftol, step_tol, max_iters or degenerate_mesh.
 VERDICTS = ("converged", "stalled", "max_iters", "degenerate_mesh")
 BACKTRACK_FACTOR = 0.5       # line-search shrink per rejected trial
 WARM_START_FACTOR = 4.0      # first trial <= this x last accepted displacement
 SUFFICIENT_DECREASE = 1e-4   # Armijo constant
 STEP_TOL = 1e-14             # smallest attempted vertex displacement
+FTOL = 2.2e-9                # least relative fall of the objective ...
+FTOL_WINDOW = 3              # ... over this many accepted steps
 SOBOLEV_SIGMA0 = 0.006       # H^2 weight sigma / (area / 4 pi)^2
 JACOBIAN_BLOCK_FACES = 4096  # meshes x faces of one stacked Jacobian pass
 REUSE_CONTRACTION = 0.25     # keep J after a step to <= this x the objective
@@ -163,10 +188,15 @@ class FlowRow:
     fit_center: tuple
     fit_radius: float
     fit_rms: float
+    # The gradient norm of the last direction taken and the trials its line
+    # search rejected; for an accepted row, those of the step to its iterate.
+    grad_norm: float
+    backtracks: int
 
     CSV_FIELDS = ("iteration", "objective", "energy", "area", "volume",
                   "residual_l2", "residual_linf", "step_size", "accepted",
-                  "fit_cx", "fit_cy", "fit_cz", "fit_radius", "fit_rms")
+                  "fit_cx", "fit_cy", "fit_cz", "fit_radius", "fit_rms",
+                  "grad_norm", "backtracks")
 
 
 @dataclass
@@ -185,7 +215,8 @@ class FlowTrace:
         write_csv(path, FlowRow.CSV_FIELDS, zip(*(
             (r.iteration, r.objective, r.energy, r.area, r.volume, r.residual_l2,
              r.residual_linf, r.step_size, r.accepted, *r.fit_center,
-             r.fit_radius, r.fit_rms) for r in self.rows)))
+             r.fit_radius, r.fit_rms, r.grad_norm, r.backtracks)
+            for r in self.rows)))
 
     def summary_dict(self):
         last = self.rows[-1]
@@ -511,6 +542,11 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     change connectivity; a trial step that collapses a face ends the run
     with the degenerate_mesh verdict and the last accepted mesh, rather than
     an exception.
+
+    Besides grad_tol and the line search, a run ends stalled once the
+    objective stops falling: after accepted step k, when
+    f[k - FTOL_WINDOW] - f[k] <= FTOL max(|f[k]|, |f[0]|) (the ftol test of
+    L-BFGS-B; Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995).
     """
     config.validate()
     if not mesh.closed:
@@ -524,7 +560,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     clock = engine.clock
     t0 = time.perf_counter()
     rows = []
-    verdict = "max_iters"
+    verdict = stop_reason = "max_iters"
     message = "iteration cap reached"
 
     @clock("record_s")
@@ -540,13 +576,14 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
             area=float(field.areas.sum()), volume=signed_volume(m),
             residual_l2=field.l2, residual_linf=field.linf, step_size=step_size,
             accepted=accepted, fit_center=tuple(center), fit_radius=radius,
-            fit_rms=rms))
+            fit_rms=rms, grad_norm=grad_norm, backtracks=backtracks))
 
     with clock("line_search_s"):
         obj, bundle = engine.objective(mesh)
     evaluations = 1
     if not np.isfinite(obj):
         raise NumericalError("non-finite objective at iteration 0")
+    history = [obj]         # the objective at each accepted iterate
     it = 0
     cap = config.initial_step
     while it < config.max_iterations:
@@ -555,11 +592,13 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
             # Only derivatives taken at this iterate may end the run.
             engine.renew()
             direction, slope, grad_norm = engine.direction(mesh, bundle)
+        backtracks = 0
         if grad_norm <= config.grad_tol:
-            verdict = "converged"
+            verdict, stop_reason = "converged", "grad_tol"
             message = f"gradient norm {grad_norm:.3e} at or below tolerance"
             record(mesh, bundle, it, obj, 0.0, False)
             break
+        stale_step = engine.stale
 
         # Line search parametrized by the largest vertex displacement; the
         # first trial is the full model step when that is within the cap.
@@ -567,14 +606,13 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
             d_max = float(np.abs(direction).max())
             s = 1.0 if d_max <= cap else cap / d_max
             accepted = False
-            backtracks = 0
             while s * d_max > STEP_TOL:
                 trial = mesh.with_positions(mesh.vertices + s * direction)
                 evaluations += 1
                 try:
                     trial_obj, trial_bundle = engine.objective(trial)
                 except OperatorError as e:
-                    verdict = "degenerate_mesh"
+                    verdict = stop_reason = "degenerate_mesh"
                     message = f"trial step: {e}"
                     break
                 # Armijo, held strict: once s * slope falls below the objective's
@@ -587,11 +625,11 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
                 backtracks += 1
         if verdict == "degenerate_mesh":
             break
-        if not accepted and engine.stale:
+        if not accepted and stale_step:
             engine.renew()      # retry from this iterate with derivatives taken here
             continue
         if not accepted:
-            verdict = "stalled"
+            verdict, stop_reason = "stalled", "step_tol"
             message = "no acceptable step above the step tolerance"
             record(mesh, bundle, it, obj, 0.0, False)
             break
@@ -600,14 +638,27 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
 
         mesh, obj, bundle = trial, trial_obj, trial_bundle
         it += 1
+        history.append(obj)
         if it % config.log_every == 0 or it == config.max_iterations:
             record(mesh, bundle, it, obj, s * d_max, True)
+        # As above, a step on a kept J does not end the run: the run goes on
+        # until a step on a J built at its own iterate meets the test too.
+        if it >= FTOL_WINDOW and not stale_step:
+            fall = history[-1 - FTOL_WINDOW] - obj
+            scale = max(abs(obj), abs(history[0]))
+            if fall <= FTOL * scale:
+                verdict, stop_reason = "stalled", "ftol"
+                message = (f"objective fell by {fall / scale:.3e} of its scale "
+                           f"over the last {FTOL_WINDOW} steps, at or below "
+                           f"{FTOL:.1e}")
+                break
 
     if not rows or rows[-1].iteration != it:
         record(mesh, bundle, it, obj, 0.0, False)
     meta = engine.counters()
     meta["residual_evaluations"] += len(rows)      # one residual per row
     meta["objective_evaluations"] = evaluations
+    meta["stop_reason"] = stop_reason
     meta.update(clock.seconds)
     return FlowTrace(verdict=verdict, iterations=it, rows=rows,
                      final_mesh=mesh, wall_time=time.perf_counter() - t0,

@@ -20,7 +20,7 @@ from .analytic import ParametricSurface, QuadratureGrid, residual_values
 from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
 from .errors import MeshInputError, UndefinedFunctionalError, UnsupportedError
-from .mesh import TriangleMesh, mesh_integrals
+from .mesh import TriangleMesh, signed_volume
 from .output import write_csv
 
 FD_STEP_REL = 1e-5      # of the bounding-box diagonal
@@ -236,9 +236,8 @@ def gradient_check(mesh: TriangleMesh, params: EnergyParams, n_fields=20,
         fd_area = directional_derivative_fd(
             mesh, params, d, h_area,
             energy_fn=lambda m: m.face_areas().sum())
-        fd_vol = directional_derivative_fd(
-            mesh, params, d, h_vol,
-            energy_fn=lambda m: mesh_integrals(m)["signed_volume"])
+        fd_vol = directional_derivative_fd(mesh, params, d, h_vol,
+                                           energy_fn=signed_volume)
         fd_full = directional_derivative_fd(mesh, params, d, h_full)
         rows.append({
             "field": k,

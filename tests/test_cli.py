@@ -258,8 +258,11 @@ def test_flow_plane_candidate_fit_writes_null(tmp_path, monkeypatch, capsys):
     assert "ok" in capsys.readouterr().out
     result = json.loads((tmp_path / "flow_summary.json").read_text())["result"]
     assert result["fit_center"] is result["fit_radius"] is result["fit_rms"] is None
-    rows = (tmp_path / "flow_trace.csv").read_text().splitlines()[1:]
-    assert rows and all(row.endswith("nan,nan,nan,nan,nan") for row in rows)
+    header, *rows = (tmp_path / "flow_trace.csv").read_text().splitlines()
+    fit = [header.split(",").index(key) for key in
+           ("fit_cx", "fit_cy", "fit_cz", "fit_radius", "fit_rms")]
+    assert rows and all([row.split(",")[k] for k in fit] == ["nan"] * 5
+                        for row in rows)
 
 
 def test_scan_csv_bytes_pinned(tmp_path):

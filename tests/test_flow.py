@@ -237,10 +237,11 @@ def test_residual_descent_radius_error_falls_under_refinement():
     cfg = FlowConfig(mode="residual_descent", initial_step=0.1,
                      max_iterations=40, grad_tol=1e-8, log_every=5)   # c7's
     errors = []
-    for level in (2, 3):
+    for level in (2, 3, 4):
         tr = flow_run(hf.perturbed_sphere(2.0, 0.05, level), CRITICAL, cfg)
+        assert tr.meta["stop_reason"] in ("grad_tol", "ftol")
         errors.append(abs(tr.rows[-1].fit_radius - 2.0) / 2.0)
-    assert errors[1] < errors[0]
+    assert errors[2] < errors[1] < errors[0]
 
 
 @pytest.mark.parametrize("mode", flow.MODES)
@@ -334,8 +335,9 @@ def test_line_search_first_trial_is_warm_started(monkeypatch):
     monkeypatch.setattr(flow._EnergyEngine, "objective", objective)
     cfg = FlowConfig(mode="energy_descent", initial_step=0.05,
                      max_iterations=20, log_every=1)
-    # Level 3: the iteration cap binds there, so all 20 first trials are
-    # checked; the level-2 flow stalls after 9 or 10 steps by roundoff.
+    # Level 3: the flow takes 15 steps before its objective stops falling, so
+    # 15 first trials are checked; the level-2 flow stalls after 9 or 10
+    # steps by roundoff.
     tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 3), EnergyParams(), cfg)
     accepted = [r.step_size for r in tr.rows if r.accepted]
     assert len(accepted) == tr.iterations >= 10
@@ -682,3 +684,128 @@ def test_failed_line_search_on_stale_jacobian_rebuilds_it(monkeypatch, fresh_sea
         assert tr.verdict == "stalled" and log[-1][0] is target[0]
     else:
         assert tr.verdict == "converged" and tr.final_mesh is not target[0]
+
+
+def test_ftol_on_kept_jacobian_rebuilds_it_before_the_run_ends(monkeypatch):
+    """The ftol test ends a run only after a step on a Jacobian built at its
+    own iterate.  A step on a kept J that meets it leaves the run going, and
+    once such a step keeps nothing the next direction builds J.  With
+    grad_tol 0 only the line search or the ftol test can end this run."""
+    real_direction = flow._ResidualEngine.direction
+    iterates = []      # [iterate, [stale per direction taken there]]
+
+    def direction(self, m, bundle):
+        out = real_direction(self, m, bundle)
+        if not iterates or iterates[-1][0] is not m:
+            iterates.append([m, []])
+        iterates[-1][1].append(self.stale)
+        return out
+
+    monkeypatch.setattr(flow._ResidualEngine, "direction", direction)
+    cfg = FlowConfig(mode="residual_descent", initial_step=0.1,
+                     max_iterations=40, grad_tol=0.0)
+    mesh = hf.perturbed_sphere(2.0, 0.05, 1)
+    tr = flow_run(mesh, CRITICAL, cfg)
+    assert (tr.verdict, tr.meta["stop_reason"]) == ("stalled", "ftol")
+    n = tr.iterations
+    rows = [r for r in tr.rows if r.accepted]
+    assert [r.iteration for r in rows] == list(range(1, n + 1))
+    f = [flow._residual_objective(mesh, CRITICAL)[0]] + [r.objective for r in rows]
+    stale = [flags for _, flags in iterates]      # per iterate 0 .. n - 1
+    assert len(stale) == n
+
+    def fires(k):
+        return k >= flow.FTOL_WINDOW and f[k - flow.FTOL_WINDOW] - f[k] <= \
+            flow.FTOL * max(abs(f[k]), abs(f[0]))
+
+    def keeps(k):        # step k kept J for the next direction
+        return rows[k - 1].backtracks == 0 and f[k] <= flow.REUSE_CONTRACTION * f[k - 1]
+
+    for k in range(1, n):
+        assert stale[k][0] == keeps(k)
+        assert not fires(k) or stale[k - 1][-1]
+    on_kept = [k for k in range(1, n) if fires(k) and not keeps(k)]
+    assert on_kept       # the test met on a kept J, and J was built again
+    assert fires(n) and not stale[n - 1][-1]
+    assert tr.meta["jacobian_builds"] == sum(not s for flags in stale for s in flags)
+
+
+def _inf_after(engine, evaluations):
+    """``engine``'s objective, reading inf from the given evaluation on."""
+    real = engine.objective
+    calls = []
+
+    def objective(self, m):
+        calls.append(m)
+        obj, bundle = real(self, m)
+        return (np.inf if len(calls) > evaluations else obj), bundle
+    return objective
+
+
+def _degenerate_after(engine, evaluations):
+    real = engine.objective
+    calls = []
+
+    def objective(self, m):
+        calls.append(m)
+        if len(calls) > evaluations:
+            raise OperatorError("degenerate face 0")
+        return real(self, m)
+    return objective
+
+
+@pytest.mark.parametrize("mode, grad_tol, max_iterations, patch, verdict, reason", [
+    ("residual_descent", 1e-8, 40, None, "converged", "grad_tol"),
+    ("residual_descent", 0.0, 40, None, "stalled", "ftol"),
+    ("energy_descent", 1e-10, 40, _inf_after, "stalled", "step_tol"),
+    ("residual_descent", 1e-8, 2, None, "max_iters", "max_iters"),
+    ("residual_descent", 1e-8, 40, _degenerate_after, "degenerate_mesh",
+     "degenerate_mesh"),
+], ids=["grad_tol", "ftol", "step_tol", "max_iters", "degenerate_mesh"])
+def test_stop_reason_names_the_test_that_ended_the_run(
+        tmp_path, monkeypatch, mode, grad_tol, max_iterations, patch, verdict, reason):
+    engine = flow._ResidualEngine if mode == "residual_descent" else flow._EnergyEngine
+    if patch is not None:
+        monkeypatch.setattr(engine, "objective", patch(engine, 4))
+    cfg = FlowConfig(mode=mode, initial_step=0.05, max_iterations=max_iterations,
+                     grad_tol=grad_tol)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 1), CRITICAL, cfg)
+    assert (tr.verdict, tr.meta["stop_reason"]) == (verdict, reason)
+    assert 0 < tr.iterations <= max_iterations
+    tr.write_json(tmp_path / "flow_summary.json")
+    payload = json.loads((tmp_path / "flow_summary.json").read_text())
+    assert payload["meta"]["stop_reason"] == reason
+    assert payload["result"] == json.loads(json.dumps(tr.summary_dict()))
+    assert "stop_reason" not in payload["result"]
+
+
+def test_trace_rows_carry_gradient_norm_and_backtracks(tmp_path, monkeypatch):
+    """Each row holds the norm of the last direction's gradient and the
+    trials its line search rejected: every objective evaluation but the first
+    is an accepted or a rejected trial, and the CSV's two last columns hold
+    the rows' values."""
+    real_direction = flow._EnergyEngine.direction
+    norms = []
+
+    def direction(self, m, bundle):
+        out = real_direction(self, m, bundle)
+        norms.append(out[2])
+        return out
+
+    monkeypatch.setattr(flow._EnergyEngine, "objective",
+                        _inf_after(flow._EnergyEngine, 6))
+    monkeypatch.setattr(flow._EnergyEngine, "direction", direction)
+    cfg = FlowConfig(mode="energy_descent", initial_step=0.05, max_iterations=40)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 1), EnergyParams(), cfg)
+    assert tr.meta["stop_reason"] == "step_tol"
+    *steps, closing = tr.rows
+    assert all(r.accepted for r in steps) and not closing.accepted
+    assert [r.grad_norm for r in tr.rows] == norms
+    assert closing.backtracks > 0 and tr.meta["objective_evaluations"] == \
+        1 + sum(r.backtracks + r.accepted for r in tr.rows)
+    tr.write_csv(tmp_path / "trace.csv")
+    header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert tuple(header.split(",")) == flow.FlowRow.CSV_FIELDS
+    assert header.endswith(",fit_rms,grad_norm,backtracks")
+    assert [line.split(",")[-2:] for line in lines] == \
+        [[repr(r.grad_norm), str(r.backtracks)] for r in tr.rows]
