@@ -14,7 +14,6 @@ from .analytic import (
     identity_check,
     oracle_geometry,
     oracle_integrate,
-    oracle_integrate_with_error,
     plane_patch,
     sphere,
     torus,

@@ -69,7 +69,6 @@ class PointGeometry:
     gauss_curvature: np.ndarray
     tracefree_sq: np.ndarray
     sqrt_det_g: np.ndarray
-    grad_mean_curvature: np.ndarray | None      # ambient 3-vector, or None
     grad_mean_sq: np.ndarray | None              # |grad H|^2
     laplace_mean_curvature: np.ndarray | None
 
@@ -110,14 +109,9 @@ def _geometry(surface, uu, vv):
     K = (L * N - M * M) / det_g
     tracefree = 0.5 * H * H - 2.0 * K
 
-    gradH = grad_sq = lap = None
+    grad_sq = lap = None
     if surface.mean_curvature_grad_fn is not None:
         Hu, Hv = surface.mean_curvature_grad_fn(uu, vv)
-        Hu = np.broadcast_to(Hu, det_g.shape)
-        Hv = np.broadcast_to(Hv, det_g.shape)
-        a = (G * Hu - F * Hv) / det_g
-        b = (E * Hv - F * Hu) / det_g
-        gradH = a[..., None] * j["fu"] + b[..., None] * j["fv"]
         grad_sq = (G * Hu * Hu - 2.0 * F * Hu * Hv + E * Hv * Hv) / det_g
     if surface.laplace_mean_curvature_fn is not None:
         lap = np.broadcast_to(surface.laplace_mean_curvature_fn(uu, vv), det_g.shape)
@@ -129,7 +123,7 @@ def _geometry(surface, uu, vv):
     return PointGeometry(
         position=j["f"], metric=metric, second_fundamental=sff, normal=nu,
         mean_curvature=H, gauss_curvature=K, tracefree_sq=tracefree,
-        sqrt_det_g=w, grad_mean_curvature=gradH, grad_mean_sq=grad_sq,
+        sqrt_det_g=w, grad_mean_sq=grad_sq,
         laplace_mean_curvature=lap)
 
 
@@ -350,34 +344,37 @@ def _axis_rule(interval, periodic, n):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def oracle_integrate(surface, integrand, grid: QuadratureGrid) -> float:
-    """Integrate integrand(PointGeometry) against the induced area element."""
+def _integrate_on_grid(surface, integrands, grid: QuadratureGrid) -> dict:
+    """Integrate each integrand(PointGeometry) of ``integrands`` (name ->
+    callable) against the induced area element of one evaluation on ``grid``."""
     uu, vv, ww = grid.mesh()
     geom = surface.geometry(uu, vv)
-    vals = np.asarray(integrand(geom), dtype=np.float64)
-    vals = np.broadcast_to(vals, ww.shape)
-    if not np.all(np.isfinite(vals)):
-        i = np.argwhere(~np.isfinite(vals))[0]
-        raise NumericalError(
-            f"non-finite integrand at chart point ({uu[tuple(i)]}, {vv[tuple(i)]})")
-    return float(np.sum(vals * geom.sqrt_det_g * ww))
+    out = {}
+    for name, integrand in integrands.items():
+        vals = np.broadcast_to(np.asarray(integrand(geom), dtype=np.float64), ww.shape)
+        if not np.all(np.isfinite(vals)):
+            i = np.argwhere(~np.isfinite(vals))[0]
+            raise NumericalError(
+                f"non-finite integrand at chart point ({uu[tuple(i)]}, {vv[tuple(i)]})")
+        out[name] = float(np.sum(vals * geom.sqrt_det_g * ww))
+    return out
 
 
-def oracle_integrate_with_error(surface, integrand, grid: QuadratureGrid):
-    """Integral plus a refinement-based error estimate (vs half resolution)."""
-    value = oracle_integrate(surface, integrand, grid)
-    nu, nv = grid.resolution
-    coarse = QuadratureGrid.for_surface(surface, max(nu // 2, 2), max(nv // 2, 2))
-    return value, abs(value - oracle_integrate(surface, integrand, coarse))
+def oracle_integrate(surface, integrand, grid: QuadratureGrid) -> float:
+    """Integrate integrand(PointGeometry) against the induced area element."""
+    return _integrate_on_grid(surface, {"value": integrand}, grid)["value"]
+
+
+def _volume_density(g):
+    """Divergence-theorem density; the outward normal is minus the stored one."""
+    return -_dot(g.position, g.normal) / 3.0
 
 
 def enclosed_volume(surface, grid):
     """Signed volume of a closed oracle surface (divergence theorem)."""
     if not surface.closed:
         raise UnsupportedError("enclosed volume needs a closed surface")
-    # outward normal is minus the stored (inward) normal
-    return oracle_integrate(
-        surface, lambda g: -_dot(g.position, g.normal) / 3.0, grid)
+    return oracle_integrate(surface, _volume_density, grid)
 
 
 # -- unit-normal jets and perturbed immersions --------------------------------
@@ -743,26 +740,20 @@ def chart_codazzi_gradient_deviation(surface, uu, vv):
     return np.abs(dH - 2.0 * div_Ao).max()
 
 
-def identity_check(principal_pairs=None, surfaces=None, n_chart=12,
-                   rng=None) -> IdentityReport:
+def identity_check(principal_pairs) -> IdentityReport:
     """Pointwise curvature-identity suite on principal-curvature samples and
-    on named chart surfaces."""
-    if principal_pairs is None:
-        rng = rng or np.random.default_rng(0)
-        principal_pairs = rng.uniform(-3.0, 3.0, size=(1000, 2))
+    on a 12 x 12 chart grid of a sphere, a catenoid and a torus."""
     pairs = np.asarray(principal_pairs, float)
     cubic, gauss, tracefree = principal_identity_deviations(pairs[:, 0], pairs[:, 1])
 
-    if surfaces is None:
-        surfaces = [sphere(1.7), catenoid(1.0, 2.0), torus(2.0, 1.0)]
     max_grad = 0.0
     names = []
-    for s in surfaces:
+    for s in (sphere(1.7), catenoid(1.0, 2.0), torus(2.0, 1.0)):
         (u0, u1), (v0, v1) = s.domain
         eps_u = 0.0 if s.periodic[0] else 0.05 * (u1 - u0)
         eps_v = 0.0 if s.periodic[1] else 0.05 * (v1 - v0)
-        uu, vv = np.meshgrid(np.linspace(u0 + eps_u, u1 - eps_u, n_chart),
-                             np.linspace(v0 + eps_v, v1 - eps_v, n_chart),
+        uu, vv = np.meshgrid(np.linspace(u0 + eps_u, u1 - eps_u, 12),
+                             np.linspace(v0 + eps_v, v1 - eps_v, 12),
                              indexing="ij")
         max_grad = max(max_grad, float(chart_codazzi_gradient_deviation(s, uu, vv)))
         g = s.geometry(uu, vv)
@@ -829,7 +820,9 @@ def estimate_report(surface, params, cutoff, grid=None) -> EstimateReport:
     of the cutoff, plus the gap quantity over the cutoff support.
 
     No inequality verdict is emitted: the estimate's absolute constants are
-    not numeric, so only the integrand table is reportable.
+    not numeric, so only the integrand table is reportable.  Each error
+    estimate is the difference from the same integral at half resolution,
+    taken from one geometry evaluation per grid.
     """
     center, radius = np.asarray(cutoff[0], float), float(cutoff[1])
     if radius <= 0:
@@ -863,9 +856,11 @@ def estimate_report(surface, params, cutoff, grid=None) -> EstimateReport:
         "gap_on_support": lambda g: g.tracefree_sq * (
             np.linalg.norm(g.position - center, axis=-1) < radius),
     }
-    terms, errs = {}, {}
-    for name, fn in integrands.items():
-        terms[name], errs[name] = oracle_integrate_with_error(surface, fn, grid)
+    terms = _integrate_on_grid(surface, integrands, grid)
+    nu, nv = grid.resolution
+    coarse = _integrate_on_grid(surface, integrands, QuadratureGrid.for_surface(
+        surface, max(nu // 2, 2), max(nv // 2, 2)))
+    errs = {name: abs(value - coarse[name]) for name, value in terms.items()}
 
     return EstimateReport(
         surface=surface.name, center=tuple(center), radius=radius,

@@ -28,6 +28,9 @@ BRANCHES = {
     ("0", "+"): "lam1=0,lam2!=0",
 }
 
+SCAN_RADIUS_TOL = 0.01   # relative radius error of a scan root, and of a
+FLOW_RADIUS_TOL = 0.02   # flow endpoint, before it counts as a discrepancy
+
 
 def sphere_residual(params: EnergyParams, rho):
     """Closed-form residual of the sphere of radius rho."""
@@ -68,7 +71,7 @@ class ScanTable:
     def min_abs_residual(self):
         return float(np.abs(self.residual).min())
 
-    def roots(self, tol=1e-14):
+    def roots(self):
         """Sign-change roots of the closed-form residual, refined by brentq.
 
         scipy.optimize is imported here, on the first call, not with the
@@ -84,7 +87,7 @@ class ScanTable:
         for i in np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]:
             out.append(float(brentq(
                 lambda x: sphere_residual(self.params, x),
-                self.rho[i], self.rho[i + 1], xtol=tol, rtol=8.9e-16)))
+                self.rho[i], self.rho[i + 1], xtol=1e-14, rtol=8.9e-16)))
         return out
 
     def write_csv(self, path):
@@ -146,8 +149,8 @@ _PREDICTIONS = {
 
 
 def classify_case(params: EnergyParams, scan: ScanTable | None = None,
-                  flow_endpoint_radius=None, flat_patch_residual=None,
-                  radius_tol=0.01, flow_tol=0.02) -> BranchVerdict:
+                  flow_endpoint_radius=None,
+                  flat_patch_residual=None) -> BranchVerdict:
     """Branch verdict from the signs of (lam1, lam2), with consistency checks
     of whatever numerical evidence is supplied.  Inconsistent evidence lands
     in ``discrepancies`` (discretization error is expected), never raises."""
@@ -170,9 +173,9 @@ def classify_case(params: EnergyParams, scan: ScanTable | None = None,
             else:
                 err = min(abs(r - predicted_radius) for r in roots)
                 evidence["scan_root_error"] = err
-                if err > radius_tol * abs(predicted_radius):
+                if err > SCAN_RADIUS_TOL * abs(predicted_radius):
                     discrepancies.append(
-                        f"scan root off by {err:.3g} (> {radius_tol:.0%})")
+                        f"scan root off by {err:.3g} (> {SCAN_RADIUS_TOL:.0%})")
         elif predicted_radius is None and roots:
             discrepancies.append(f"unexpected scan root(s) {roots}")
         if predicted_radius == "any" and scan.min_abs_residual > 0:
@@ -182,9 +185,9 @@ def classify_case(params: EnergyParams, scan: ScanTable | None = None,
         evidence["flow_endpoint_radius"] = float(flow_endpoint_radius)
         if isinstance(predicted_radius, float):
             err = abs(flow_endpoint_radius - predicted_radius)
-            if err > flow_tol * abs(predicted_radius):
+            if err > FLOW_RADIUS_TOL * abs(predicted_radius):
                 discrepancies.append(
-                    f"flow endpoint radius off by {err:.3g} (> {flow_tol:.0%})")
+                    f"flow endpoint radius off by {err:.3g} (> {FLOW_RADIUS_TOL:.0%})")
         else:
             discrepancies.append(
                 "flow endpoint supplied but no sphere is predicted")

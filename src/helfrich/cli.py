@@ -38,7 +38,8 @@ from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
 from .errors import HelfrichError, MeshInputError, NumericalError, ParameterError
 from .flow import FlowConfig, flow_run
-from .mesh import PrimitiveSpec, load_mesh, make_primitive, save_mesh, validate
+from .mesh import (PrimitiveSpec, load_mesh, make_primitive, mesh_integrals, save_mesh,
+                   validate)
 from .output import write_csv, write_json
 from .variation import _mesh_residual, el_residual, gradient_check
 
@@ -230,7 +231,6 @@ def _cmd_mesh_make(v):
     mesh = make_primitive(_primitive_spec(v))
     path = _out(v, v["mesh_out"])
     save_mesh(mesh, path)
-    from .mesh import mesh_integrals
     d = validate(mesh)
     write_json(_out(v, "mesh_make_summary.json"), {
         "file": v["mesh_out"], "n_vertices": mesh.n_vertices,

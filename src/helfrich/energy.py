@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ParametricSurface, QuadratureGrid, enclosed_volume, oracle_integrate
+from .analytic import (ParametricSurface, QuadratureGrid, _integrate_on_grid,
+                       _volume_density, oracle_integrate)
 from .curvature import curvature_bundle
 from .mesh import TriangleMesh, signed_volume
 
@@ -98,14 +99,15 @@ def _oracle_energies(surface: ParametricSurface, params: EnergyParams,
                      grid=None) -> EnergyReport:
     if grid is None:
         grid = QuadratureGrid.for_surface(surface, 64, 64)
-    area = oracle_integrate(surface, lambda g: 1.0, grid)
-    willmore = oracle_integrate(surface, lambda g: 0.25 * g.mean_curvature**2, grid)
-    bending = oracle_integrate(
-        surface, lambda g: 0.25 * (g.mean_curvature - params.c0) ** 2, grid)
-    gap = oracle_integrate(surface, lambda g: g.tracefree_sq, grid)
-    volume = enclosed_volume(surface, grid) if surface.closed else None
-    return _assemble_report(area, volume, willmore, bending, gap, params,
-                            surface.closed)
+    integrands = {"area": lambda g: 1.0,
+                  "willmore": lambda g: 0.25 * g.mean_curvature**2,
+                  "bending": lambda g: 0.25 * (g.mean_curvature - params.c0) ** 2,
+                  "gap": lambda g: g.tracefree_sq}
+    if surface.closed:
+        integrands["volume"] = _volume_density
+    r = _integrate_on_grid(surface, integrands, grid)
+    return _assemble_report(r["area"], r.get("volume"), r["willmore"], r["bending"],
+                            r["gap"], params, surface.closed)
 
 
 def localized_gap(source, center, radius, grid=None) -> float:

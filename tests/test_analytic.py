@@ -19,13 +19,12 @@ from helfrich.analytic import (
     identity_check,
     oracle_geometry,
     oracle_integrate,
-    oracle_integrate_with_error,
     plane_patch,
     sphere,
     torus,
     variation_check,
 )
-from helfrich.energy import EnergyParams
+from helfrich.energy import EnergyParams, evaluate_energies
 from helfrich.errors import DomainError, NumericalError, UnsupportedError
 
 
@@ -141,8 +140,9 @@ def test_quadrature_self_consistency():
     for s, fn in ((sphere(1.5), lambda g: 0.25 * g.mean_curvature**2),
                   (torus(2.0, 1.0), lambda g: g.tracefree_sq),
                   (catenoid(1.0, 2.0), lambda g: g.tracefree_sq)):
-        grid = QuadratureGrid.for_surface(s, 32, 32)
-        value, est = oracle_integrate_with_error(s, fn, grid)
+        value = oracle_integrate(s, fn, QuadratureGrid.for_surface(s, 32, 32))
+        half = oracle_integrate(s, fn, QuadratureGrid.for_surface(s, 16, 16))
+        est = abs(value - half)
         fine = QuadratureGrid.for_surface(s, 64, 64)
         refined = oracle_integrate(s, fn, fine)
         assert abs(refined - value) <= 10 * est + 1e-13
@@ -360,3 +360,72 @@ def test_estimate_report_catenoid_gap_ceiling():
     assert gap <= 8 * np.pi
     # sharp-indicator truncation: support is |f| < 10, i.e. cosh^2 v + v^2 < 100
     assert gap > 8 * np.pi * np.tanh(2.0)
+
+
+def _estimate_integrands_per_term(params, center, radius):
+    """The estimate report's six integrands, written out one by one."""
+    center = np.asarray(center, float)
+
+    def gamma(g):
+        return cutoff_profile(np.linalg.norm(g.position - center, axis=-1) / radius)
+
+    def residual(g):
+        return analytic.residual_values(g.laplace_mean_curvature, g.mean_curvature,
+                                        g.gauss_curvature, g.tracefree_sq, params)
+
+    return {
+        "residual_sq_gamma4": lambda g: residual(g) ** 2 * gamma(g) ** 4,
+        "grad_H_sq_gamma2": lambda g: g.grad_mean_sq * gamma(g) ** 2,
+        "grad_H_sq_gamma4": lambda g: g.grad_mean_sq * gamma(g) ** 4,
+        "tracefree_cubed_gamma4": lambda g: g.tracefree_sq ** 3 * gamma(g) ** 4,
+        "a4_tracefree_gamma4": lambda g: (
+            (g.mean_curvature**2 - 2.0 * g.gauss_curvature) ** 2
+            * g.tracefree_sq * gamma(g) ** 4),
+        "gap_on_support": lambda g: g.tracefree_sq * (
+            np.linalg.norm(g.position - center, axis=-1) < radius),
+    }
+
+
+@pytest.mark.parametrize("surface, cutoff", [
+    (sphere(2.0), ((1.0, 0.5, 0.2), 2.5)),
+    (torus(2.0, 1.0), ((2.0, 0.0, 0.5), 1.5)),
+    (catenoid(1.0, 2.0), ((0.0, 0.0, 0.0), 3.0)),
+    (plane_patch(), ((0.5, 0.5, 0.0), 0.4)),
+], ids=["sphere", "torus", "catenoid", "plane"])
+def test_oracle_reports_evaluate_each_grid_once_and_match_per_integrand(
+        surface, cutoff, monkeypatch):
+    params = EnergyParams(0.3, 1.0, -0.7)
+    calls = []
+    geometry = analytic._geometry
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return geometry(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_geometry", counted)
+    energies = evaluate_energies(surface, params)
+    assert len(calls) == 1
+    calls.clear()
+    est = estimate_report(surface, params, cutoff=cutoff)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    grid = QuadratureGrid.for_surface(surface, 64, 64)
+    assert energies.area == oracle_integrate(surface, lambda g: 1.0, grid)
+    assert energies.willmore == oracle_integrate(
+        surface, lambda g: 0.25 * g.mean_curvature**2, grid)
+    assert energies.breakdown["bending"] == oracle_integrate(
+        surface, lambda g: 0.25 * (g.mean_curvature - params.c0) ** 2, grid)
+    assert energies.gap == oracle_integrate(surface, lambda g: g.tracefree_sq, grid)
+    if surface.closed:
+        assert energies.volume == enclosed_volume(surface, grid)
+
+    fine = QuadratureGrid.for_surface(surface, 96, 96)
+    half = QuadratureGrid.for_surface(surface, 48, 48)
+    integrands = _estimate_integrands_per_term(params, *cutoff)
+    assert list(est.terms) == list(integrands) == list(est.error_estimates)
+    for name, fn in integrands.items():
+        value = oracle_integrate(surface, fn, fine)
+        assert repr(est.terms[name]) == repr(value)
+        assert repr(est.error_estimates[name]) == repr(
+            abs(value - oracle_integrate(surface, fn, half)))
