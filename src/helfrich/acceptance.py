@@ -23,6 +23,7 @@ from .analytic import (
 from .classify import radius_scan
 from .curvature import angle_defect_total
 from .energy import EnergyParams, evaluate_energies
+from .errors import ParameterError
 from .flow import FlowConfig, flow_run
 from .mesh import flat_patch, icosphere, perturbed_sphere
 from .variation import el_residual, gradient_check
@@ -246,10 +247,10 @@ CRITERIA = [c1_willmore_normalization, c2_catenoid_gap, c3_critical_sphere,
 
 
 def run_all(only=None):
-    results = []
-    for fn in CRITERIA:
-        cid = fn.__name__.split("_")[0]
-        if only and cid not in only:
-            continue
-        results.append(fn())
-    return results
+    """Run every criterion, or those whose ids ("c1" ...) ``only`` names."""
+    by_id = {fn.__name__.split("_")[0]: fn for fn in CRITERIA}
+    unknown = sorted(set(only or ()) - set(by_id))
+    if unknown:
+        raise ParameterError("only", f"unknown criterion ids {unknown}; "
+                             f"known: {', '.join(by_id)}")
+    return [fn() for cid, fn in by_id.items() if not only or cid in only]

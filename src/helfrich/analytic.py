@@ -1,8 +1,13 @@
 """Exact parametric oracle surfaces.
 
-Charts carry closed-form partial derivatives (through third order for the
-named closed-form surfaces), so fundamental forms, normals, and the
-functionals built from them are exact to floating point.  This module also
+Charts carry closed-form partial derivatives, so fundamental forms, normals,
+and the functionals built from them are exact to floating point.  Two
+generators build every chart jet: ``_revolution`` takes a profile curve
+(r(v), z(v)) to a surface of revolution through third order (sphere,
+catenoid, torus), and ``graph_surface`` takes a height function z = h(x, y)
+to a graph through second order (the plane is the graph of zero height).
+The closed forms of H, its gradient and its Laplacian stay hand-written per
+surface, as references independent of the chart jets.  This module also
 hosts the quadrature rules, the first-variation finite-difference cross
 checks, the pointwise curvature-identity checks, and the localized integral
 report built on a quintic cutoff.
@@ -15,7 +20,7 @@ sphere then has H = +2/rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,64 +143,69 @@ def _stack3(*comps):
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
+def _zero(uu, vv):
+    """Zero on the chart grid: every closed form that vanishes identically."""
+    return np.zeros(np.broadcast(uu, vv).shape)
+
+
+def _zero_pair(uu, vv):
+    return _zero(uu, vv), _zero(uu, vv)
+
+
+def _revolution(profile):
+    """Chart jet of the surface of revolution (r(v) cos u, r(v) sin u, z(v))
+    through third order.  ``profile(vv)`` returns r and z, each with its first
+    three v-derivatives.  The z entries reach ``_stack3``'s broadcasting as
+    they are: added to a zero array, a -0.0 would turn into +0.0."""
+
+    def jet_fn(uu, vv, order):
+        su, cu = np.sin(uu), np.cos(uu)
+        (r, r1, r2, r3), (z, z1, z2, z3) = profile(vv)
+        j = {
+            "f": _stack3(r * cu, r * su, z),
+            "fu": _stack3(-r * su, r * cu, 0.0),
+            "fv": _stack3(r1 * cu, r1 * su, z1),
+            "fuu": _stack3(-r * cu, -r * su, 0.0),
+            "fuv": _stack3(-r1 * su, r1 * cu, 0.0),
+            "fvv": _stack3(r2 * cu, r2 * su, z2),
+        }
+        if order >= 3:
+            j["fuuu"] = -j["fu"]
+            j["fuuv"] = _stack3(-r1 * cu, -r1 * su, 0.0)
+            j["fuvv"] = _stack3(-r2 * su, r2 * cu, 0.0)
+            j["fvvv"] = _stack3(r3 * cu, r3 * su, z3)
+        return j
+
+    return jet_fn
+
+
 def sphere(radius=1.0) -> ParametricSurface:
     """Round sphere; u azimuthal (periodic), v polar in (0, pi)."""
     rho = float(radius)
 
-    def jet_fn(uu, vv, order):
-        su, cu = np.sin(uu), np.cos(uu)
+    def profile(vv):
         sv, cv = np.sin(vv), np.cos(vv)
-        z = np.zeros(np.broadcast(uu, vv).shape)
-        j = {
-            "f": _stack3(rho * sv * cu, rho * sv * su, rho * cv),
-            "fu": _stack3(-rho * sv * su, rho * sv * cu, z),
-            "fv": _stack3(rho * cv * cu, rho * cv * su, -rho * sv),
-            "fuu": _stack3(-rho * sv * cu, -rho * sv * su, z),
-            "fuv": _stack3(-rho * cv * su, rho * cv * cu, z),
-            "fvv": _stack3(-rho * sv * cu, -rho * sv * su, -rho * cv),
-        }
-        if order >= 3:
-            j["fuuu"] = -j["fu"]
-            j["fuuv"] = _stack3(-rho * cv * cu, -rho * cv * su, z)
-            j["fuvv"] = _stack3(rho * sv * su, -rho * sv * cu, z)
-            j["fvvv"] = -j["fv"]
-        return j
+        return ((rho * sv, rho * cv, -rho * sv, -rho * cv),
+                (rho * cv, -rho * sv, -rho * cv, rho * sv))
 
     two_over_rho = 2.0 / rho
     return ParametricSurface(
         name="sphere", domain=((0.0, TWO_PI), (0.0, np.pi)),
         periodic=(True, False), closed=True, normal_sign=+1.0,
-        jet_fn=jet_fn, params={"radius": rho},
+        jet_fn=_revolution(profile), params={"radius": rho},
         mean_curvature_fn=lambda uu, vv: np.full(np.broadcast(uu, vv).shape, two_over_rho),
-        mean_curvature_grad_fn=lambda uu, vv: (
-            np.zeros(np.broadcast(uu, vv).shape), np.zeros(np.broadcast(uu, vv).shape)),
-        laplace_mean_curvature_fn=lambda uu, vv: np.zeros(np.broadcast(uu, vv).shape),
+        mean_curvature_grad_fn=_zero_pair, laplace_mean_curvature_fn=_zero,
         has_third_order=True)
 
 
 def plane_patch(extent=(1.0, 1.0)) -> ParametricSurface:
+    """Flat patch [0, Lx] x [0, Ly]: the graph of zero height."""
     Lx, Ly = float(extent[0]), float(extent[1])
-
-    def jet_fn(uu, vv, order):
-        z = np.zeros(np.broadcast(uu, vv).shape)
-        zero3 = _stack3(z, z, z)
-        one_u = _stack3(z + 1.0, z, z)
-        one_v = _stack3(z, z + 1.0, z)
-        j = {"f": _stack3(uu + z, vv + z, z), "fu": one_u, "fv": one_v,
-             "fuu": zero3, "fuv": zero3, "fvv": zero3}
-        if order >= 3:
-            j.update(fuuu=zero3, fuuv=zero3, fuvv=zero3, fvvv=zero3)
-        return j
-
-    zero_fn = lambda uu, vv: np.zeros(np.broadcast(uu, vv).shape)
-    return ParametricSurface(
-        name="plane_patch", domain=((0.0, Lx), (0.0, Ly)),
-        periodic=(False, False), closed=False, normal_sign=+1.0,
-        jet_fn=jet_fn, params={"extent": (Lx, Ly)},
-        mean_curvature_fn=zero_fn,
-        mean_curvature_grad_fn=lambda uu, vv: (zero_fn(uu, vv), zero_fn(uu, vv)),
-        laplace_mean_curvature_fn=zero_fn,
-        has_third_order=True)
+    flat = graph_surface(_zero, _zero, _zero, _zero, _zero, _zero,
+                         domain=((0.0, Lx), (0.0, Ly)))
+    return replace(flat, name="plane_patch", params={"extent": (Lx, Ly)},
+                   mean_curvature_fn=_zero, mean_curvature_grad_fn=_zero_pair,
+                   laplace_mean_curvature_fn=_zero)
 
 
 def catenoid(neck_scale=1.0, half_height=2.0) -> ParametricSurface:
@@ -203,34 +213,16 @@ def catenoid(neck_scale=1.0, half_height=2.0) -> ParametricSurface:
     c = float(neck_scale)
     T = float(half_height)
 
-    def jet_fn(uu, vv, order):
-        su, cu = np.sin(uu), np.cos(uu)
+    def profile(vv):
         ch, sh = np.cosh(vv / c), np.sinh(vv / c)
-        z = np.zeros(np.broadcast(uu, vv).shape)
-        j = {
-            "f": _stack3(c * ch * cu, c * ch * su, vv + z),
-            "fu": _stack3(-c * ch * su, c * ch * cu, z),
-            "fv": _stack3(sh * cu, sh * su, z + 1.0),
-            "fuu": _stack3(-c * ch * cu, -c * ch * su, z),
-            "fuv": _stack3(-sh * su, sh * cu, z),
-            "fvv": _stack3(ch / c * cu, ch / c * su, z),
-        }
-        if order >= 3:
-            j["fuuu"] = -j["fu"]
-            j["fuuv"] = _stack3(-sh * cu, -sh * su, z)
-            j["fuvv"] = _stack3(-ch / c * su, ch / c * cu, z)
-            j["fvvv"] = _stack3(sh / c**2 * cu, sh / c**2 * su, z)
-        return j
+        return (c * ch, sh, ch / c, sh / c**2), (vv, 1.0, 0.0, 0.0)
 
-    zero_fn = lambda uu, vv: np.zeros(np.broadcast(uu, vv).shape)
     return ParametricSurface(
         name="catenoid", domain=((0.0, TWO_PI), (-T, T)),
         periodic=(True, False), closed=False, normal_sign=+1.0,
-        jet_fn=jet_fn, params={"neck_scale": c, "half_height": T},
-        mean_curvature_fn=zero_fn,
-        mean_curvature_grad_fn=lambda uu, vv: (zero_fn(uu, vv), zero_fn(uu, vv)),
-        laplace_mean_curvature_fn=zero_fn,
-        has_third_order=True)
+        jet_fn=_revolution(profile), params={"neck_scale": c, "half_height": T},
+        mean_curvature_fn=_zero, mean_curvature_grad_fn=_zero_pair,
+        laplace_mean_curvature_fn=_zero, has_third_order=True)
 
 
 def torus(ring_radius=2.0, tube_radius=1.0) -> ParametricSurface:
@@ -239,25 +231,10 @@ def torus(ring_radius=2.0, tube_radius=1.0) -> ParametricSurface:
     if not R > r > 0:
         raise ValueError("need ring_radius > tube_radius > 0")
 
-    def jet_fn(uu, vv, order):
-        su, cu = np.sin(uu), np.cos(uu)
+    def profile(vv):
         sv, cv = np.sin(vv), np.cos(vv)
-        G = R + r * cv
-        z = np.zeros(np.broadcast(uu, vv).shape)
-        j = {
-            "f": _stack3(G * cu, G * su, r * sv),
-            "fu": _stack3(-G * su, G * cu, z),
-            "fv": _stack3(-r * sv * cu, -r * sv * su, r * cv),
-            "fuu": _stack3(-G * cu, -G * su, z),
-            "fuv": _stack3(r * sv * su, -r * sv * cu, z),
-            "fvv": _stack3(-r * cv * cu, -r * cv * su, -r * sv),
-        }
-        if order >= 3:
-            j["fuuu"] = -j["fu"]
-            j["fuuv"] = _stack3(r * sv * cu, r * sv * su, z)
-            j["fuvv"] = _stack3(r * cv * su, -r * cv * cu, z)
-            j["fvvv"] = _stack3(r * sv * cu, r * sv * su, -r * cv)
-        return j
+        return ((R + r * cv, -r * sv, -r * cv, r * sv),
+                (r * sv, r * cv, -r * sv, -r * cv))
 
     def H_fn(uu, vv):
         G = R + r * np.cos(vv)
@@ -266,9 +243,8 @@ def torus(ring_radius=2.0, tube_radius=1.0) -> ParametricSurface:
 
     def H_grad_fn(uu, vv):
         G = R + r * np.cos(vv)
-        shape = np.broadcast(uu, vv).shape
         Hv = -R * np.sin(vv) / G**2
-        return np.zeros(shape), np.broadcast_to(Hv, shape)
+        return _zero(uu, vv), np.broadcast_to(Hv, np.broadcast(uu, vv).shape)
 
     def lapH_fn(uu, vv):
         # Laplace-Beltrami of H on the revolution chart, derived from
@@ -282,7 +258,7 @@ def torus(ring_radius=2.0, tube_radius=1.0) -> ParametricSurface:
     return ParametricSurface(
         name="torus", domain=((0.0, TWO_PI), (0.0, TWO_PI)),
         periodic=(True, True), closed=True, normal_sign=-1.0,
-        jet_fn=jet_fn, params={"ring_radius": R, "tube_radius": r},
+        jet_fn=_revolution(profile), params={"ring_radius": R, "tube_radius": r},
         mean_curvature_fn=H_fn, mean_curvature_grad_fn=H_grad_fn,
         laplace_mean_curvature_fn=lapH_fn, has_third_order=True)
 
@@ -292,7 +268,7 @@ def graph_surface(h, hx, hy, hxx, hxy, hyy, domain=((0.0, 1.0), (0.0, 1.0)),
     """Graph z = h(x, y) with user-supplied derivatives through second order."""
 
     def jet_fn(uu, vv, order):
-        z = np.zeros(np.broadcast(uu, vv).shape)
+        z = _zero(uu, vv)
         return {
             "f": _stack3(uu + z, vv + z, h(uu, vv) + z),
             "fu": _stack3(z + 1.0, z, hx(uu, vv) + z),
@@ -330,12 +306,10 @@ class QuadratureGrid:
         ww = np.outer(self.u_weights, self.v_weights)
         return uu, vv, ww
 
-    @property
-    def resolution(self):
-        return (len(self.u_nodes), len(self.v_nodes))
-
 
 def _axis_rule(interval, periodic, n):
+    if n < 1:
+        raise ValueError(f"quadrature needs at least 1 node per axis, got {n}")
     a, b = interval
     if periodic:
         step = (b - a) / n
@@ -568,23 +542,24 @@ class VariationReport:
 VARIATION_REL_FLOOR = 1.0
 
 
-def variation_check(surface, params, fld: AmbientField, h=1e-2,
-                    grid=None) -> VariationReport:
+def variation_check(surface, params, fld: AmbientField, h=1e-2) -> VariationReport:
     """Compare closed-form first variations against Richardson finite
     differences of the exactly evaluated perturbed functionals.
 
     Covers area, total mean curvature, Willmore energy, enclosed volume and
-    the Helfrich energy for normal perturbations phi*nu.  Closed surfaces
-    only; the derivation drops the boundary terms.
+    the Helfrich energy for normal perturbations phi*nu, on a 64 x 64 grid.
+    Closed surfaces only; the derivation drops the boundary terms.  The
+    step h must be positive and finite.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(
+            f"finite-difference step must be positive and finite, got {h}")
     if not surface.closed:
         raise UnsupportedError("variation_check needs a closed surface")
     if surface.laplace_mean_curvature_fn is None:
         raise UnsupportedError(
             f"surface {surface.name!r} has no stored Laplacian of H")
-    if grid is None:
-        grid = QuadratureGrid.for_surface(surface, 64, 64)
-
+    grid = QuadratureGrid.for_surface(surface, 64, 64)
     uu, vv, ww = grid.mesh()
     geom = surface.geometry(uu, vv)
     phi = fld.value(geom.position)
@@ -794,15 +769,6 @@ def cutoff_profile(s):
     return 1.0 - smooth
 
 
-def cutoff_profile_derivative(s):
-    s = np.asarray(s, float)
-    tau = 2.0 * s - 1.0
-    inside = (tau > 0.0) & (tau < 1.0)
-    tau = np.clip(tau, 0.0, 1.0)
-    d = -2.0 * 30.0 * tau * tau * (tau - 1.0) ** 2
-    return np.where(inside, d, 0.0)
-
-
 @dataclass
 class EstimateReport:
     surface: str
@@ -814,15 +780,15 @@ class EstimateReport:
     note: str
 
 
-def estimate_report(surface, params, cutoff, grid=None) -> EstimateReport:
+def estimate_report(surface, params, cutoff) -> EstimateReport:
     """Tabulate the computable localized integrals behind the curvature-gap
     estimate: residual, gradient, and tracefree-power terms weighted by powers
     of the cutoff, plus the gap quantity over the cutoff support.
 
     No inequality verdict is emitted: the estimate's absolute constants are
-    not numeric, so only the integrand table is reportable.  Each error
-    estimate is the difference from the same integral at half resolution,
-    taken from one geometry evaluation per grid.
+    not numeric, so only the integrand table is reportable.  The terms are
+    integrated on a 96 x 96 grid; each error estimate is the difference from
+    the same integral on 48 x 48, one geometry evaluation per grid.
     """
     center, radius = np.asarray(cutoff[0], float), float(cutoff[1])
     if radius <= 0:
@@ -831,9 +797,6 @@ def estimate_report(surface, params, cutoff, grid=None) -> EstimateReport:
             surface.mean_curvature_grad_fn is None:
         raise UnsupportedError(
             f"surface {surface.name!r} lacks stored H derivatives")
-    if grid is None:
-        grid = QuadratureGrid.for_surface(surface, 96, 96)
-
     c_gamma = RAMP_SUP_DERIVATIVE / radius
 
     def gamma_of(g):
@@ -856,10 +819,10 @@ def estimate_report(surface, params, cutoff, grid=None) -> EstimateReport:
         "gap_on_support": lambda g: g.tracefree_sq * (
             np.linalg.norm(g.position - center, axis=-1) < radius),
     }
-    terms = _integrate_on_grid(surface, integrands, grid)
-    nu, nv = grid.resolution
-    coarse = _integrate_on_grid(surface, integrands, QuadratureGrid.for_surface(
-        surface, max(nu // 2, 2), max(nv // 2, 2)))
+    terms = _integrate_on_grid(surface, integrands,
+                               QuadratureGrid.for_surface(surface, 96, 96))
+    coarse = _integrate_on_grid(surface, integrands,
+                                QuadratureGrid.for_surface(surface, 48, 48))
     errs = {name: abs(value - coarse[name]) for name, value in terms.items()}
 
     return EstimateReport(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -50,8 +51,17 @@ EXIT_BADINPUT = 2
 
 # -- argument plumbing ----------------------------------------------------------
 
+def _finite_float(text):
+    """Float flag value; finite, like a config file's numbers."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add(parser, name, type_, default, help_):
-    parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type_,
+    parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                        type=_finite_float if type_ is float else type_,
                         default=None, help=f"{help_} (default {default})")
 
 
@@ -80,6 +90,8 @@ SURFACE_KEYS = {
     "surface": (str, None, "oracle surface: sphere|plane|catenoid|torus"),
     "ring_radius": (float, 2.0, "torus ring radius"),
     "tube_radius": (float, 1.0, "torus tube radius"),
+}
+QUAD_KEYS = {
     "quad_u": (int, 64, "quadrature nodes, first axis"),
     "quad_v": (int, 64, "quadrature nodes, second axis"),
 }
@@ -87,9 +99,9 @@ SURFACE_KEYS = {
 SUBCOMMANDS = {
     "mesh-make": {**COMMON, **MESH_KEYS,
                   "mesh_out": (str, "mesh.obj", "mesh file name (obj/off)")},
-    "energy-eval": {**COMMON, **MESH_KEYS, **PARAM_KEYS, **SURFACE_KEYS,
+    "energy-eval": {**COMMON, **MESH_KEYS, **PARAM_KEYS, **SURFACE_KEYS, **QUAD_KEYS,
                     "mesh": (str, None, "mesh file to load instead of a primitive")},
-    "residual": {**COMMON, **MESH_KEYS, **PARAM_KEYS, **SURFACE_KEYS,
+    "residual": {**COMMON, **MESH_KEYS, **PARAM_KEYS, **SURFACE_KEYS, **QUAD_KEYS,
                  "mesh": (str, None, "mesh file to load instead of a primitive")},
     "gradient-check": {**COMMON, **MESH_KEYS, **PARAM_KEYS,
                        "n_fields": (int, 20, "number of random test fields")},

@@ -110,9 +110,10 @@ def _oracle_energies(surface: ParametricSurface, params: EnergyParams,
                             r["gap"], params, surface.closed)
 
 
-def localized_gap(source, center, radius, grid=None) -> float:
+def localized_gap(source, center, radius) -> float:
     """Gap quantity restricted to the preimage of the ball B_radius(center),
-    with a sharp indicator; monotone non-decreasing in the radius."""
+    with a sharp indicator; monotone non-decreasing in the radius.  Oracle
+    surfaces integrate on a 96 x 96 grid."""
     center = np.asarray(center, dtype=np.float64)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -123,11 +124,9 @@ def localized_gap(source, center, radius, grid=None) -> float:
         vals = bundle.tracefree_sq[m]
         return float((vals[inside] * bundle.vertex_area[m][inside]).sum())
     if isinstance(source, ParametricSurface):
-        if grid is None:
-            grid = QuadratureGrid.for_surface(source, 96, 96)
         return oracle_integrate(
             source,
             lambda g: g.tracefree_sq
             * (np.linalg.norm(g.position - center, axis=-1) < radius),
-            grid)
+            QuadratureGrid.for_surface(source, 96, 96))
     raise TypeError(f"unsupported source type {type(source).__name__}")

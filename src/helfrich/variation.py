@@ -216,6 +216,8 @@ def gradient_check(mesh: TriangleMesh, params: EnergyParams, n_fields=20,
     """
     if not mesh.closed:
         raise UnsupportedError("gradient_check needs a closed mesh")
+    if n_fields < 1:
+        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     fields = random_smooth_fields(mesh, n_fields, seed=seed)
     g_area = area_gradient(mesh)
     g_vol = volume_gradient(mesh)

@@ -8,11 +8,11 @@ from helfrich import analytic
 from helfrich.analytic import (
     AmbientField,
     QuadratureGrid,
+    RAMP_SUP_DERIVATIVE,
     _normal_jet,
     catenoid,
     chart_codazzi_gradient_deviation,
     cutoff_profile,
-    cutoff_profile_derivative,
     enclosed_volume,
     estimate_report,
     graph_surface,
@@ -95,6 +95,51 @@ def test_immersion_condition_on_grid():
         uu, vv, _ = grid.mesh()
         g = s.geometry(uu, vv)
         assert (g.sqrt_det_g > 0).all()
+
+
+# -- chart jets from the two generators ----------------------------------------
+
+# each chart-jet entry -> (the entry one order below, axis it is differenced on)
+CHART_DERIVATIVES = {"fu": ("f", 0), "fv": ("f", 1),
+                     "fuu": ("fu", 0), "fuv": ("fu", 1), "fvv": ("fv", 1),
+                     "fuuu": ("fuu", 0), "fuuv": ("fuu", 1), "fuvv": ("fuv", 1),
+                     "fvvv": ("fvv", 1)}
+
+
+def _wavy_graph():
+    e = lambda y: np.exp(0.5 * y)
+    return graph_surface(
+        h=lambda x, y: np.sin(2 * x) * e(y),
+        hx=lambda x, y: 2 * np.cos(2 * x) * e(y),
+        hy=lambda x, y: 0.5 * np.sin(2 * x) * e(y),
+        hxx=lambda x, y: -4 * np.sin(2 * x) * e(y),
+        hxy=lambda x, y: np.cos(2 * x) * e(y),
+        hyy=lambda x, y: 0.25 * np.sin(2 * x) * e(y),
+        domain=((-1.0, 1.0), (-1.0, 2.0)))
+
+
+@pytest.mark.parametrize("surface, order", [
+    (sphere(1.7), 3), (catenoid(1.3, 2.0), 3), (torus(2.0, 0.7), 3),
+    (plane_patch((2.0, 0.5)), 2), (_wavy_graph(), 2),
+], ids=["sphere", "catenoid", "torus", "plane", "graph"])
+def test_chart_jet_entries_are_differences_of_the_order_below(surface, order):
+    (u0, u1), (v0, v1) = surface.domain
+    uu, vv = np.meshgrid(u0 + (u1 - u0) * np.linspace(0.1, 0.9, 5),
+                         v0 + (v1 - v0) * np.linspace(0.1, 0.9, 4), indexing="ij")
+    jet = surface.jet(uu, vv, order)
+    names = [k for k in CHART_DERIVATIVES if len(k) - 1 <= order]
+    assert set(jet) == {"f", *names}
+    h = 1e-5
+    for name in names:
+        lower, axis = CHART_DERIVATIVES[name]
+        du, dv = (h, 0.0) if axis == 0 else (0.0, h)
+        fd = (surface.jet(uu + du, vv + dv, order)[lower]
+              - surface.jet(uu - du, vv - dv, order)[lower]) / (2 * h)
+        scale = 1.0 + np.abs(jet[name]).max()
+        assert np.abs(jet[name] - fd).max() < 1e-8 * scale, name
+    if order < 3:
+        with pytest.raises(UnsupportedError):
+            surface.jet(uu, vv, 3)
 
 
 # -- quadrature -----------------------------------------------------------------
@@ -311,11 +356,13 @@ def test_cutoff_profile_shape():
     assert (vals[s >= 1.0] == 0.0).all()
     assert ((vals >= 0) & (vals <= 1)).all()
     assert (np.diff(vals) <= 1e-15).all()          # monotone
-    d = cutoff_profile_derivative(s)
-    assert np.abs(d).max() <= 15.0 / 4.0 + 1e-12
-    # derivative is the actual slope
-    fd = np.gradient(vals, s)
-    assert np.abs(fd - d).max() < 0.01
+    # the slope, by central differences, peaks at RAMP_SUP_DERIVATIVE at s = 3/4
+    h = 1e-6
+    slope = (cutoff_profile(s + h) - cutoff_profile(s - h)) / (2 * h)
+    assert RAMP_SUP_DERIVATIVE == 15.0 / 4.0
+    assert np.abs(slope).max() <= RAMP_SUP_DERIVATIVE + 1e-8
+    peak = (cutoff_profile(0.75 + h) - cutoff_profile(0.75 - h)) / (2 * h)
+    assert peak == pytest.approx(-RAMP_SUP_DERIVATIVE, abs=1e-8)
 
 
 def test_estimate_report_critical_sphere():

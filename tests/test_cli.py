@@ -197,12 +197,60 @@ def test_verify_subset(tmp_path):
     assert [c["id"] for c in payload["result"]["criteria"]] == ["c2", "c4"]
 
 
+@pytest.mark.parametrize("only", ["c10", "c1,c10"])
+def test_verify_unknown_criterion_id_exits_2(tmp_path, capsys, only):
+    assert run(["verify", "--only", only, "--out", str(tmp_path)]) == EXIT_BADINPUT
+    out, err = capsys.readouterr()
+    assert "ok" not in out
+    assert err.startswith("error: only: unknown criterion ids ['c10']")
+    assert not (tmp_path / "verify_summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["variation-check", "--step", "0"], "step must be positive and finite, got 0.0"),
+    (["variation-check", "--step", "-0.01"], "step must be positive and finite"),
+    (["variation-check", "--step", "nan"], "argument --step: must be finite, got 'nan'"),
+    (["variation-check", "--step", "inf"], "argument --step: must be finite, got 'inf'"),
+    (["scan", "--l1=-inf"], "argument --l1: must be finite, got '-inf'"),
+    (["flow", "--initial-step", "nan"], "argument --initial-step: must be finite"),
+    (["gradient-check", "--level", "1", "--n-fields", "0"],
+     "n_fields must be at least 1, got 0"),
+    (["gradient-check", "--level", "1", "--n-fields", "-2"],
+     "n_fields must be at least 1, got -2"),
+    (["energy-eval", "--surface", "torus", "--quad-u", "0"],
+     "quadrature needs at least 1 node per axis, got 0"),
+    (["residual", "--surface", "catenoid", "--quad-v", "-3"],
+     "quadrature needs at least 1 node per axis, got -3"),
+], ids=["step-0", "step-negative", "step-nan", "step-inf", "l1-inf",
+        "initial-step-nan", "n-fields-0", "n-fields-negative", "quad-u-0",
+        "quad-v-negative"])
+def test_bad_numeric_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_BADINPUT
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
+@pytest.mark.parametrize("command", ["variation-check", "estimate-report"])
+def test_quadrature_flags_only_where_they_act(tmp_path, capsys, command):
+    for flag in ("--quad-u", "--quad-v"):
+        assert run([command, flag, "16", "--out", str(tmp_path)]) == EXIT_BADINPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "quad.json"
+    cfg.write_text(json.dumps({"quad_u": 16}))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_BADINPUT
+    assert "unknown keys ['quad_u']" in capsys.readouterr().err
+    assert run(["energy-eval", "--surface", "torus", "--quad-u", "16", "--quad-v", "8",
+                "--out", str(tmp_path)]) == EXIT_OK
+
+
 SMALL_RUNS = {
     "mesh-make": ["--kind", "icosphere", "--level", "1"],
     "energy-eval": ["--kind", "icosphere", "--level", "1", "--l1", "1", "--l2", "-1"],
     "residual": ["--kind", "icosphere", "--level", "1"],
     "gradient-check": ["--kind", "icosphere", "--level", "1", "--n-fields", "2"],
-    "variation-check": ["--surface", "torus", "--quad-u", "16", "--quad-v", "16"],
+    "variation-check": ["--surface", "torus"],
     "identity-check": ["--samples", "10"],
     "estimate-report": ["--radius", "2", "--l1", "1", "--l2", "-1"],
     "scan": ["--l1", "1", "--l2", "-1", "--n", "10"],
