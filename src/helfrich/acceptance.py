@@ -247,10 +247,13 @@ CRITERIA = [c1_willmore_normalization, c2_catenoid_gap, c3_critical_sphere,
 
 
 def run_all(only=None):
-    """Run every criterion, or those whose ids ("c1" ...) ``only`` names."""
+    """Run every criterion, or those whose ids ("c1" ...) ``only`` names;
+    an ``only`` that names none is an error, not a request for all."""
     by_id = {fn.__name__.split("_")[0]: fn for fn in CRITERIA}
+    known = ", ".join(by_id)
+    if only is not None and not only:
+        raise ParameterError("only", f"names no criterion id; known: {known}")
     unknown = sorted(set(only or ()) - set(by_id))
     if unknown:
-        raise ParameterError("only", f"unknown criterion ids {unknown}; "
-                             f"known: {', '.join(by_id)}")
-    return [fn() for cid, fn in by_id.items() if not only or cid in only]
+        raise ParameterError("only", f"unknown criterion ids {unknown}; known: {known}")
+    return [fn() for cid, fn in by_id.items() if only is None or cid in only]

@@ -330,6 +330,8 @@ def _cmd_variation_check(v):
 
 
 def _cmd_identity_check(v):
+    if v["samples"] < 1:
+        raise ParameterError("samples", f"must be at least 1, got {v['samples']}")
     rng = np.random.default_rng(v["seed"])
     rep = identity_check(principal_pairs=rng.uniform(-3, 3, (v["samples"], 2)))
     write_json(_out(v, "identity_check_summary.json"), {
@@ -388,7 +390,7 @@ def _cmd_flow(v):
 
 def _cmd_verify(v):
     only = None
-    if v.get("only"):
+    if v.get("only") is not None:
         only = [s.strip() for s in v["only"].split(",") if s.strip()]
     results = acceptance.run_all(only=only)
     all_pass = True

@@ -39,8 +39,8 @@ from .mesh import DEGENERATE_AREA_REL, TriangleMesh
 class CurvatureBundle:
     """Per-vertex curvature data; NaN outside the interior mask.  The bundle
     of a (B, V, 3) stack of positions has a leading axis of length B on every
-    array but ``interior``, and ``obtuse_faces`` and ``surface_area`` are
-    lists with one entry per row."""
+    array but ``interior``, no ``edge_weight``, and ``obtuse_faces`` and
+    ``surface_area`` are lists with one entry per row."""
 
     vertex_area: np.ndarray        # mixed Voronoi area
     normal: np.ndarray             # inward unit normal, (V, 3)
@@ -48,6 +48,11 @@ class CurvatureBundle:
     gauss_curvature: np.ndarray    # K = k1 k2
     tracefree_raw: np.ndarray      # H^2/2 - 2K, unclamped
     laplace_mean_curvature: np.ndarray  # cotangent Laplacian of H
+    # w = cot(corner k) / 2 of the edge opposite corner k of every face,
+    # (3, F): the weights of ``_edges`` and of the stiffness's terms.  None
+    # for a stack, whose callers never read it: holding B x 3F weights per
+    # block raised a residual flow's minor page faults by about a third.
+    edge_weight: np.ndarray | None
     interior: np.ndarray           # bool mask, False on boundary vertices
     obtuse_faces: int              # faces on the obtuse-triangle area fallback
     surface_area: float            # sum of the face areas
@@ -194,11 +199,25 @@ def _corner_sum(faces, columns, size):
                        weights=np.stack(columns, axis=1).reshape(-1), minlength=size)
 
 
+def _edge_ends(f):
+    """(i, j) of every face edge from (3, n) corner rows: edge k of a face
+    joins corners k + 1 and k + 2, opposite corner k; the edges of corner 0
+    come first."""
+    return np.concatenate([f[1], f[2], f[0]]), np.concatenate([f[2], f[0], f[1]])
+
+
 def _edges(fp):
     """Per-face-edge (i, j, w) with w = cot(opposite corner) / 2."""
-    f = fp.corners
-    return (np.concatenate([f[1], f[2], f[0]]), np.concatenate([f[2], f[0], f[1]]),
-            0.5 * np.concatenate(fp.cots))
+    return (*_edge_ends(fp.corners), 0.5 * np.concatenate(fp.cots))
+
+
+def _stiffness_terms(i, j, w):
+    """COO rows, columns (int32) and values of the cotangent stiffness: face
+    edge (i, j) of weight w adds (i, j, w), (j, i, w), (i, i, -w) and
+    (j, j, -w), each kind in a block of its own."""
+    i, j = i.astype(np.int32), j.astype(np.int32)
+    return (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]),
+            np.concatenate([w, w, -w, -w]))
 
 
 def curvature_bundle(mesh: TriangleMesh, positions=None) -> CurvatureBundle:
@@ -249,7 +268,9 @@ def curvature_bundle(mesh: TriangleMesh, positions=None) -> CurvatureBundle:
         normal=np.stack([nx, ny, nz], axis=1).reshape(*shape, 3),
         mean_curvature=H.reshape(shape), gauss_curvature=K.reshape(shape),
         tracefree_raw=raw.reshape(shape),
-        laplace_mean_curvature=lap_H.reshape(shape), interior=interior,
+        laplace_mean_curvature=lap_H.reshape(shape),
+        edge_weight=w.reshape(3, -1) if positions is None else None,
+        interior=interior,
         obtuse_faces=fp.obtuse_faces, surface_area=fp.surface_area)
 
 
@@ -260,12 +281,60 @@ def cotan_operator(mesh: TriangleMesh) -> SparseOperator:
     mass = _corner_sum(mesh.faces, fp.voronoi, V)
     i, j, w = _edges(fp)
     del fp      # free the face columns before the sparse assembly's peak
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([j, i, i, j])
-    vals = np.concatenate([w, w, -w, -w])
+    # int32 indices, which coo_matrix keeps as they are instead of copying.
+    rows, cols, vals = _stiffness_terms(i, j, w)
     del i, j, w     # likewise the edge columns
     stiffness = sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
     return SparseOperator(stiffness=stiffness, mass=mass)
+
+
+class _StiffnessFill:
+    """The cotangent stiffness of one mesh's connectivity, filled from edge
+    weights alone and bitwise what ``cotan_operator`` assembles.
+
+    ``coo_matrix(...).tocsr()`` places the COO terms by row in input order,
+    sorts each row by column with std::sort, which is not stable, and adds
+    each run of equal columns left to right.  The fill takes that order from
+    scipy itself, by running the same sort on the terms' own indices, and
+    keeps the terms in it: each one's stored entry (``slot``) and its weight
+    in [w, -w] (``term``; an index below 3F is +w).  A stiffness is then one
+    np.bincount, which adds each entry's terms in that order.  Both arrays
+    are int32, as flows hold them for their whole run.
+    """
+
+    def __init__(self, mesh: TriangleMesh):
+        V, F3 = mesh.n_vertices, 3 * mesh.n_faces
+        # Signed edge ids 1 ... 3F as the weights: each term's value is then
+        # its edge and sign.
+        rows, cols, ids = _stiffness_terms(*_edge_ends(mesh.faces.T),
+                                           np.arange(1, F3 + 1, dtype=np.int32))
+        indptr = np.zeros(V + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=V), out=indptr[1:])
+        by_row = np.argsort(rows, kind="stable")        # as coo_tocsr places them
+        placed = sp.csr_matrix((by_row.astype(np.float64), cols[by_row], indptr),
+                               shape=(V, V))
+        del rows, cols, by_row
+        placed.sort_indices()
+        signed = ids[placed.data.astype(np.intp)]
+        self.term = np.where(signed > 0, signed - 1, F3 - 1 - signed)
+        # A stored entry starts at each row's first term and at each change
+        # of column within a row.
+        col = placed.indices
+        first = np.empty(len(col), dtype=bool)
+        first[0] = True
+        np.not_equal(col[1:], col[:-1], out=first[1:])
+        first[indptr[:-1][np.diff(indptr) > 0]] = True
+        before = np.zeros(len(col) + 1, dtype=np.int32)     # entries started before
+        np.cumsum(first, out=before[1:])
+        self.slot = before[1:] - 1
+        # K's CSR pattern: sorted indices, one entry per vertex pair.
+        self.indptr, self.indices = before[indptr], col[first]
+
+    def data(self, edge_weight):
+        """K's data on its pattern from the (3, F) weights of a bundle."""
+        w = edge_weight.reshape(-1)
+        return np.bincount(self.slot, np.concatenate([w, -w]).take(self.term),
+                           len(self.indices))
 
 
 def laplace_field(op: SparseOperator, field) -> np.ndarray:

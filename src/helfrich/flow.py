@@ -82,8 +82,10 @@ spend its evaluations halving down from initial_step on every iteration.
 A search that halves below STEP_TOL ends the run stalled.
 Each objective evaluation returns the curvature bundle it computed, and the
 flow carries the accepted trial's bundle into the next direction and trace
-row, so every iterate goes through the face pass once; only energy descent's
-cotangent operator, whose columns the bundle does not keep, runs its own.
+row, so every iterate goes through the face pass once.  Energy descent takes
+M from the bundle's vertex areas and K from its edge weights, summed by a
+fill built once per flow (_StiffnessFill) in the order of the scipy COO to
+CSR conversion that cotan_operator runs, so K is bitwise that operator's.
 
 grad_tol and STEP_TOL are absolute, and on fine meshes neither engine meets
 them where its objective stops falling.  Energy descent's assembled gradient
@@ -105,8 +107,8 @@ still converging quadratically.
 
 The summary's meta reports the seconds of each phase (PHASES): the
 derivative (the Jacobian, or the energy's assembled gradient), the solve
-(for energy descent the operator, the metric and its factorization), the
-line search including the starting objective, and trace recording.
+(for energy descent the stiffness fill, the metric and its factorization),
+the line search including the starting objective, and trace recording.
 Together they cover the run's wall time but for loop bookkeeping.
 """
 
@@ -123,7 +125,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .analytic import residual_values
-from .curvature import cotan_operator, curvature_bundle
+from .curvature import _StiffnessFill, curvature_bundle
 # Not used here: bound so that the benchmark tracer, which wraps every module
 # binding of the face pass (perfbench/tracing.py), keeps finding it in flow.
 from .curvature import _face_data  # noqa: F401
@@ -507,6 +509,9 @@ class _EnergyEngine(_Engine):
     def __init__(self, params, mesh):
         super().__init__(params, mesh)
         # K's sorted CSR arrays are the 1-ring's: its data is X, 1/M is s.
+        self.fill = _StiffnessFill(mesh)
+        assert (np.array_equal(self.fill.indptr, self.ring.indptr)
+                and np.array_equal(self.fill.indices, self.ring.indices))
         self.index = _BandIndex(self.ring.indptr, self.ring.indices,
                                 self.solver.rank, descending=True)
 
@@ -522,10 +527,9 @@ class _EnergyEngine(_Engine):
         with self.clock("jacobian_s"):
             g = _gradient_coefficient(mesh, bundle, self.params)
         with self.clock("solve_s"):
-            op = cotan_operator(mesh)
-            K, M = op.stiffness, op.mass
+            M = bundle.vertex_area
             sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
-            metric = self.index.band(K.data, 1.0 / M)
+            metric = self.index.band(self.fill.data(bundle.edge_weight), 1.0 / M)
             metric *= sigma
             metric[0] += M[self.solver.order]
             direction, slope = self.step(metric, -g, g, bundle.normal)

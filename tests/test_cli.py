@@ -206,6 +206,16 @@ def test_verify_unknown_criterion_id_exits_2(tmp_path, capsys, only):
     assert not (tmp_path / "verify_summary.json").exists()
 
 
+@pytest.mark.parametrize("only", [",", "", " , ,"], ids=["comma", "empty", "blanks"])
+def test_verify_only_naming_no_id_exits_2(tmp_path, capsys, only):
+    assert run(["verify", "--only", only, "--out", str(tmp_path)]) == EXIT_BADINPUT
+    out, err = capsys.readouterr()
+    assert "ok" not in out and "PASS" not in out
+    assert err.splitlines() == ["error: only: names no criterion id; known: "
+                                "c1, c2, c3, c4, c5, c6, c7, c8, c9"]
+    assert not (tmp_path / "verify_summary.json").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["variation-check", "--step", "0"], "step must be positive and finite, got 0.0"),
     (["variation-check", "--step", "-0.01"], "step must be positive and finite"),
@@ -221,9 +231,11 @@ def test_verify_unknown_criterion_id_exits_2(tmp_path, capsys, only):
      "quadrature needs at least 1 node per axis, got 0"),
     (["residual", "--surface", "catenoid", "--quad-v", "-3"],
      "quadrature needs at least 1 node per axis, got -3"),
+    (["identity-check", "--samples", "0"], "samples: must be at least 1, got 0"),
+    (["identity-check", "--samples", "-1"], "samples: must be at least 1, got -1"),
 ], ids=["step-0", "step-negative", "step-nan", "step-inf", "l1-inf",
         "initial-step-nan", "n-fields-0", "n-fields-negative", "quad-u-0",
-        "quad-v-negative"])
+        "quad-v-negative", "samples-0", "samples-negative"])
 def test_bad_numeric_input_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == EXIT_BADINPUT
     err = capsys.readouterr().err

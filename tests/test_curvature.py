@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import helfrich as hf
 from helfrich.curvature import (
+    _StiffnessFill,
     angle_defect_total,
     cotan_operator,
     curvature_bundle,
@@ -248,6 +249,31 @@ def test_face_pass_matches_reference_bitwise(make):
     assert np.array_equal(op.mass, ref["vertex_area"])
     assert (op.stiffness != ref["stiffness"]).nnz == 0
     assert np.array_equal(op.stiffness.data, ref["stiffness"].data)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda level=level: hf.icosphere(1.0, level) for level in (1, 2, 3, 4, 5)),
+    *(lambda level=level: hf.perturbed_sphere(2.0, 0.2, level) for level in (2, 4)),
+    lambda: hf.catenoid_mesh(1.0, 2.0, (24, 16)),
+    _sheared_sphere,
+], ids=["ico_L1", "ico_L2", "ico_L3", "ico_L4", "ico_L5", "sphere_L2", "sphere_L4",
+        "catenoid", "sheared"])
+def test_stiffness_fill_is_cotan_operator_bitwise(make):
+    """The fill from the bundle's edge weights has K's CSR pattern and data
+    bitwise: it adds each entry's terms in the order scipy's COO to CSR
+    conversion does (a stable sort of each row by column differs on every
+    mesh here)."""
+    m = make()
+    K = cotan_operator(m).stiffness
+    fill = _StiffnessFill(m)
+    bundle = curvature_bundle(m)
+    assert bundle.edge_weight.shape == (3, m.n_faces)
+    data = fill.data(bundle.edge_weight)
+    assert np.array_equal(fill.indptr, K.indptr)
+    assert np.array_equal(fill.indices, K.indices)
+    assert np.array_equal(data, K.data)
+    if make is _sheared_sphere:
+        assert bundle.obtuse_faces > 0
 
 
 def test_degenerate_face_index_matches_reference():

@@ -287,8 +287,8 @@ def test_summary_meta_counts_objective_evaluations(tmp_path, monkeypatch, mode):
 
 def test_energy_direction_is_the_sobolev_gradient(monkeypatch):
     """The step's normal coefficient c solves (M + sigma K M^-1 K) c = -g,
-    the slope is -g.c, and the reported norm is the L^2 gradient's; one
-    direction costs one face pass, the operator's: the curvature comes in
+    the slope is -g.c, and the reported norm is the L^2 gradient's; a
+    direction runs no face pass: the curvature and K's edge weights come in
     the objective's bundle."""
     import helfrich.curvature as curvature
 
@@ -299,7 +299,7 @@ def test_energy_direction_is_the_sobolev_gradient(monkeypatch):
     real = curvature._face_data
     monkeypatch.setattr(curvature, "_face_data", lambda m: passes.append(m) or real(m))
     direction, slope, grad_norm = engine.direction(mesh, bundle)
-    assert len(passes) == 1
+    assert len(passes) == 0
     monkeypatch.undo()
     G = energy_gradient(mesh, EnergyParams())
     normals = curvature_bundle(mesh).normal
@@ -542,10 +542,10 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
-    """Every face pass of a flow is an objective evaluation, a stacked block
-    of a Jacobian build (residual descent) or a direction's operator pass
-    (energy descent): directions and trace rows read the bundle the
-    objective computed, and the last row equals the separate evaluations."""
+    """Every face pass of a flow is an objective evaluation or a stacked
+    block of a Jacobian build (residual descent): directions and trace rows
+    read the bundle the objective computed, and the last row equals the
+    separate evaluations."""
     import helfrich.curvature as curvature
     from helfrich.variation import el_residual
 
@@ -561,14 +561,13 @@ def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
     tr = flow_run(mesh, CRITICAL, cfg)
     assert len(tr.rows) >= 4 and directions
     single, stacked = passes.count(1), passes.count(2)
+    assert single == tr.meta["objective_evaluations"]
     if mode == "residual_descent":
         rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
         blocks = -(-2 * tr.meta["jacobian_colors"] // rows)
-        assert single == tr.meta["objective_evaluations"]
         assert stacked == blocks * tr.meta["jacobian_builds"]
         assert 0 < tr.meta["jacobian_builds"] <= len(directions)
     else:
-        assert single == tr.meta["objective_evaluations"] + len(directions)
         assert stacked == 0
     monkeypatch.undo()
     field = el_residual(tr.final_mesh, CRITICAL)
