@@ -149,8 +149,7 @@ _PREDICTIONS = {
 
 
 def classify_case(params: EnergyParams, scan: ScanTable | None = None,
-                  flow_endpoint_radius=None,
-                  flat_patch_residual=None) -> BranchVerdict:
+                  flow_endpoint_radius=None) -> BranchVerdict:
     """Branch verdict from the signs of (lam1, lam2), with consistency checks
     of whatever numerical evidence is supplied.  Inconsistent evidence lands
     in ``discrepancies`` (discretization error is expected), never raises."""
@@ -192,12 +191,7 @@ def classify_case(params: EnergyParams, scan: ScanTable | None = None,
             discrepancies.append(
                 "flow endpoint supplied but no sphere is predicted")
 
-    expected_plane = plane_residual(params)
-    evidence["plane_residual"] = expected_plane
-    if flat_patch_residual is not None:
-        evidence["flat_patch_residual"] = float(flat_patch_residual)
-        if abs(flat_patch_residual - expected_plane) > 1e-6 + 1e-3 * abs(expected_plane):
-            discrepancies.append("meshed flat-patch residual disagrees with -2*lam2")
+    evidence["plane_residual"] = plane_residual(params)
 
     return BranchVerdict(
         branch=branch, predicted=_PREDICTIONS[branch],

@@ -10,20 +10,15 @@ out of the interior mask.
 Every operator here runs one face-geometry pass, ``_face_data``: the
 Meyer-Desbrun-Schroeder-Barr cotangents, corner angles and mixed Voronoi
 areas, computed on contiguous coordinate columns of length F and scattered
-onto the vertices with 1-D ``bincount`` calls.
-
-The pass and ``curvature_bundle`` also take a (B, V, 3) stack of positions
-on one mesh's connectivity, as the residual-descent Jacobian evaluates its
-perturbed meshes.  Vertex v of row b is then bin b V + v: the pass runs on
-columns of length B F, row after row, and since no two rows share a bin,
-every ``bincount`` still sums each bin in face order.  Row b is bitwise what
-the one-mesh call gives, and a few stacked calls replace many short ones
-whose cost was mostly per-call overhead.
+onto the vertices with 1-D ``bincount`` calls, each of which sums every
+vertex's bin in face order.  So a mesh made of disjoint copies of one
+connectivity gives each copy bitwise the values of that copy on its own;
+the residual-descent Jacobian runs its perturbed meshes through the pass
+that way (``flow._block_mesh``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -37,10 +32,7 @@ from .mesh import DEGENERATE_AREA_REL, TriangleMesh
 
 @dataclass
 class CurvatureBundle:
-    """Per-vertex curvature data; NaN outside the interior mask.  The bundle
-    of a (B, V, 3) stack of positions has a leading axis of length B on every
-    array but ``interior``, no ``edge_weight``, and ``obtuse_faces`` and
-    ``surface_area`` are lists with one entry per row."""
+    """Per-vertex curvature data; NaN outside the interior mask."""
 
     vertex_area: np.ndarray        # mixed Voronoi area
     normal: np.ndarray             # inward unit normal, (V, 3)
@@ -49,10 +41,8 @@ class CurvatureBundle:
     tracefree_raw: np.ndarray      # H^2/2 - 2K, unclamped
     laplace_mean_curvature: np.ndarray  # cotangent Laplacian of H
     # w = cot(corner k) / 2 of the edge opposite corner k of every face,
-    # (3, F): the weights of ``_edges`` and of the stiffness's terms.  None
-    # for a stack, whose callers never read it: holding B x 3F weights per
-    # block raised a residual flow's minor page faults by about a third.
-    edge_weight: np.ndarray | None
+    # (3, F): the weights of ``_edges`` and of the stiffness's terms.
+    edge_weight: np.ndarray
     interior: np.ndarray           # bool mask, False on boundary vertices
     obtuse_faces: int              # faces on the obtuse-triangle area fallback
     surface_area: float            # sum of the face areas
@@ -102,11 +92,9 @@ class SparseOperator:
 
 class FacePass(NamedTuple):
     """Per-face columns of one face-geometry pass; each triple holds the
-    columns of corners 0, 1 and 2.  A pass over a stack of B position sets
-    runs over the B F faces of all rows, row after row, and its totals are
-    lists with one entry per row."""
+    columns of corners 0, 1 and 2."""
 
-    corners: np.ndarray     # (3, [B] F): row k holds the bin of each corner k
+    corners: np.ndarray     # (3, F): row k holds the vertex of each corner k
     cots: list              # cotangent of the corner angle
     angles: list            # corner angle
     voronoi: list           # the corner's mixed Voronoi area
@@ -115,51 +103,27 @@ class FacePass(NamedTuple):
     obtuse_faces: int       # faces on the obtuse-triangle area fallback
 
 
-def _area_floor(coords):
-    """The degenerate-area threshold DEGENERATE_AREA_REL * diagonal^2 of each
-    position row, with TriangleMesh.bbox_diagonal's arithmetic."""
-    if coords.shape[-1] == 0:
-        return 0.0
-    span = coords.max(axis=-1) - coords.min(axis=-1)       # (3, [B])
-    if span.ndim == 1:
-        return DEGENERATE_AREA_REL * float(np.linalg.norm(span)) ** 2
-    return np.array([[DEGENERATE_AREA_REL * float(np.linalg.norm(s)) ** 2]
-                     for s in span.T])
-
-
-def _face_data(mesh: TriangleMesh, positions=None) -> FacePass:
+def _face_data(mesh: TriangleMesh) -> FacePass:
     """The face-geometry pass on coordinate columns of length F.
-
-    ``positions`` is a (B, V, 3) stack of vertex positions on the mesh's
-    connectivity; without it the pass runs on the mesh's own positions.  For
-    a stack, vertex v of row b is bin b V + v, so the pass runs on columns
-    of length B F and each row's values are bitwise the pass over
-    ``positions[b]``; a degenerate face raises for the first row that has one.
 
     The arithmetic repeats the operation order of ``np.cross``, ``np.einsum``
     and ``np.linalg.norm`` on (F, 3) blocks, so every value is bitwise what
     those give.
     """
-    V, F = mesh.n_vertices, mesh.n_faces
     corners = np.ascontiguousarray(mesh.faces.T)
-    coords = _coordinates(mesh, positions)
-    if positions is not None:
-        corners = (corners[:, None, :]
-                   + V * np.arange(len(positions))[:, None]).reshape(3, -1)
-    face_shape = (*coords.shape[1:-1], F)                  # ([B,] F)
     # ex[k], ey[k], ez[k]: the edge opposite corner k, p[k + 2] - p[k + 1]
     ex, ey, ez = ([p[2] - p[1], p[0] - p[2], p[1] - p[0]]
-                  for p in ([c.take(f) for f in corners] for c in coords.reshape(3, -1)))
+                  for p in ([c.take(f) for f in corners]
+                            for c in np.ascontiguousarray(mesh.vertices.T)))
     nx = ez[2] * ey[1] - ey[2] * ez[1]     # e2 x -e1
     ny = ex[2] * ez[1] - ez[2] * ex[1]
     nz = ey[2] * ex[1] - ex[2] * ey[1]
     double_area = np.sqrt((nx * nx + ny * ny) + nz * nz)
     area = 0.5 * double_area
 
-    bad = area.reshape(face_shape) <= _area_floor(coords)
+    bad = area <= DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2
     if bad.any():
-        first = bad if bad.ndim == 1 else bad[bad.any(axis=1).argmax()]
-        raise OperatorError(f"degenerate face {int(first.argmax())}")
+        raise OperatorError(f"degenerate face {int(bad.argmax())}")
 
     # numpy's einsum sums a 3-vector dot product as (x + z) + y; keep its order.
     def dot(a, b):
@@ -180,16 +144,7 @@ def _face_data(mesh: TriangleMesh, positions=None) -> FacePass:
             v[fallback] = np.where(o[fallback], 0.5, 0.25) * area[fallback]
 
     return FacePass(corners, cots, angles, voronoi, (nx, ny, nz),
-                    area.reshape(face_shape).sum(axis=-1).tolist(),
-                    fallback.reshape(face_shape).sum(axis=-1).tolist())
-
-
-def _coordinates(mesh, positions):
-    """Contiguous coordinate columns x, y, z: (3, V), or (3, B, V) for a
-    (B, V, 3) stack of positions."""
-    if positions is None:
-        return np.ascontiguousarray(mesh.vertices.T)
-    return np.ascontiguousarray(np.moveaxis(positions, -1, 0))
+                    float(area.sum()), int(fallback.sum()))
 
 
 def _corner_sum(faces, columns, size):
@@ -220,58 +175,50 @@ def _stiffness_terms(i, j, w):
             np.concatenate([w, w, -w, -w]))
 
 
-def curvature_bundle(mesh: TriangleMesh, positions=None) -> CurvatureBundle:
+def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
     """Vectorized cotangent/angle-defect curvature estimate at every vertex,
-    with the Laplacian of H from the same face-geometry pass.
-
-    With a (B, V, 3) stack of ``positions`` every per-vertex field gains a
-    leading axis of length B (``interior`` is shared), and row b is bitwise
-    the bundle of ``mesh.with_positions(positions[b])``.
-    """
-    fp = _face_data(mesh) if positions is None else _face_data(mesh, positions)
+    with the Laplacian of H from the same face-geometry pass."""
+    fp = _face_data(mesh)
     V = mesh.n_vertices
-    shape = (V,) if positions is None else (len(positions), V)
-    # One bin per vertex of every row: each bincount below sums every bin in
-    # face order, as it does for one mesh.
-    size = math.prod(shape)
-    faces = mesh.faces if len(shape) == 1 else np.stack(fp.corners, axis=1)
-    areas = _corner_sum(faces, fp.voronoi, size)
+    areas = _corner_sum(mesh.faces, fp.voronoi, V)
+    K = (2.0 * np.pi - _corner_sum(mesh.faces, fp.angles, V)) / areas
     # Area-weighted outward normals, summed one corner at a time.
     f0, f1, f2 = fp.corners
-    ax, ay, az = ((np.bincount(f0, n, size) + np.bincount(f1, n, size))
-                  + np.bincount(f2, n, size) for n in fp.normal)
+    ax, ay, az = ((np.bincount(f0, n, V) + np.bincount(f1, n, V))
+                  + np.bincount(f2, n, V) for n in fp.normal)
     norms = np.sqrt((ax * ax + ay * ay) + az * az)
     norms[norms == 0] = 1.0
     nx, ny, nz = -ax / norms, -ay / norms, -az / norms
 
     i, j, w = _edges(fp)
+    obtuse_faces, surface_area = fp.obtuse_faces, fp.surface_area
+    # Free the face columns before the Laplacians' temporaries.  Holding them
+    # raised each Jacobian block's peak so far that the heap was trimmed and
+    # grown again on most blocks: 1 300 to 3 700 minor faults per level-2
+    # residual flow instead of about 500.
+    del fp
     # Fresh coordinate columns, not ones kept from the face pass: holding
     # those (and the per-face areas) through the whole call cost about 40%
     # more page faults and 10% more time per L6 bundle.
-    lx, ly, lz = (np.bincount(i, weights=flux, minlength=size)
-                  + np.bincount(j, weights=-flux, minlength=size)
+    lx, ly, lz = (np.bincount(i, weights=flux, minlength=V)
+                  + np.bincount(j, weights=-flux, minlength=V)
                   for flux in (w * (c[j] - c[i])
-                               for c in _coordinates(mesh, positions).reshape(3, -1)))
+                               for c in np.ascontiguousarray(mesh.vertices.T)))
     H = ((lx * nx + lz * nz) + ly * ny) / areas
 
-    K = (2.0 * np.pi - _corner_sum(faces, fp.angles, size)) / areas
-
     interior = ~mesh.boundary_vertex
-    H.reshape(shape)[..., mesh.boundary_vertex] = np.nan
-    K.reshape(shape)[..., mesh.boundary_vertex] = np.nan
+    H[mesh.boundary_vertex] = np.nan
+    K[mesh.boundary_vertex] = np.nan
 
     raw = 0.5 * H * H - 2.0 * K
     d = w * (H[j] - H[i])
-    lap_H = (np.bincount(i, d, size) + np.bincount(j, -d, size)) / areas
+    lap_H = (np.bincount(i, d, V) + np.bincount(j, -d, V)) / areas
     return CurvatureBundle(
-        vertex_area=areas.reshape(shape),
-        normal=np.stack([nx, ny, nz], axis=1).reshape(*shape, 3),
-        mean_curvature=H.reshape(shape), gauss_curvature=K.reshape(shape),
-        tracefree_raw=raw.reshape(shape),
-        laplace_mean_curvature=lap_H.reshape(shape),
-        edge_weight=w.reshape(3, -1) if positions is None else None,
+        vertex_area=areas, normal=np.stack([nx, ny, nz], axis=1),
+        mean_curvature=H, gauss_curvature=K, tracefree_raw=raw,
+        laplace_mean_curvature=lap_H, edge_weight=w.reshape(3, -1),
         interior=interior,
-        obtuse_faces=fp.obtuse_faces, surface_area=fp.surface_area)
+        obtuse_faces=obtuse_faces, surface_area=surface_area)
 
 
 def cotan_operator(mesh: TriangleMesh) -> SparseOperator:

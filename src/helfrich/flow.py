@@ -36,11 +36,14 @@ connectivity never changes, lets every vertex of one color move in the same
 pair of residual evaluations.  A Jacobian build costs 2 x colors evaluations
 (34 colors on the level-2 icosphere, 39 from level 3 on) instead of 2V.  The
 2 x colors perturbed meshes share the connectivity, so they go through the
-curvature pass as stacked positions, JACOBIAN_BLOCK_FACES faces' worth at a
-time (12 meshes at level 2, 3 at level 3): on meshes that small the cost of one
-pass is mostly per-call overhead, and one block is far cheaper than its
-meshes one by one.  One stack of all 68 level-2 meshes was no faster and
-raised the flow's peak memory by about 7 MB.
+curvature pass in blocks of about JACOBIAN_BLOCK_FACES faces (12 meshes at
+level 2, 3 at level 3): each block is one mesh of disjoint copies of the
+flow's connectivity, built once per flow (_block_mesh), whose vertex bins
+are those of the copies in turn, so each copy's bundle is bitwise the one
+its mesh gives on its own.  On meshes that small the cost of one pass is
+mostly per-call overhead, and one block is far cheaper than its meshes one
+by one.  One block of all 68 level-2 meshes was no faster and raised the
+flow's peak memory by about 7 MB.
 
 Not every step builds a Jacobian: the engine keeps the last J, with the
 band of J^T J, while it keeps working, as in chord (Shamanskii)
@@ -131,7 +134,7 @@ from .curvature import _StiffnessFill, curvature_bundle
 from .curvature import _face_data  # noqa: F401
 from .energy import EnergyParams, _mesh_energies
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
-from .mesh import TriangleMesh, signed_volume, validate
+from .mesh import TriangleMesh, validate
 from .output import write_csv, write_json
 from .variation import FD_STEP_REL, _gradient_coefficient, _mesh_residual
 
@@ -148,7 +151,7 @@ STEP_TOL = 1e-14             # smallest attempted vertex displacement
 FTOL = 2.2e-9                # least relative fall of the objective ...
 FTOL_WINDOW = 3              # ... over this many accepted steps
 SOBOLEV_SIGMA0 = 0.006       # H^2 weight sigma / (area / 4 pi)^2
-JACOBIAN_BLOCK_FACES = 4096  # meshes x faces of one stacked Jacobian pass
+JACOBIAN_BLOCK_FACES = 4096  # meshes x faces of one Jacobian block pass
 REUSE_CONTRACTION = 0.25     # keep J after a step to <= this x the objective
 PHASES = ("jacobian_s", "solve_s", "line_search_s", "record_s")
 
@@ -246,7 +249,7 @@ class FlowTrace:
 
 def _weighted_residual(bundle, params, row=...):
     """sqrt(area) * unclamped residual, so that its squared norm is the
-    objective; ``row`` picks one mesh of a stacked bundle."""
+    objective; ``row`` picks one copy's vertices of a block mesh's bundle."""
     r = residual_values(bundle.laplace_mean_curvature[row],
                         bundle.mean_curvature[row], bundle.gauss_curvature[row],
                         bundle.tracefree_raw[row], params)
@@ -258,6 +261,15 @@ def _residual_objective(mesh, params):
     bundle = curvature_bundle(mesh)
     rho = _weighted_residual(bundle, params)
     return float(rho @ rho), bundle
+
+
+def _block_mesh(mesh, copies):
+    """One mesh of ``copies`` disjoint copies of ``mesh``'s connectivity:
+    vertex v of copy b is vertex b V + v, and copy b's faces follow copy
+    b - 1's."""
+    offsets = mesh.n_vertices * np.arange(copies)[:, None, None]
+    return TriangleMesh(np.tile(mesh.vertices, (copies, 1)),
+                        (mesh.faces + offsets).reshape(-1, 3))
 
 
 def _vertex_adjacency(mesh):
@@ -425,6 +437,12 @@ class _ResidualEngine(_Engine):
         # RCM order.
         self.normal_equations = None
         self.jacobian_builds = 0
+        # The 2 x colors perturbed meshes in even blocks of at most
+        # JACOBIAN_BLOCK_FACES faces; a last block that is not full is
+        # filled up with unperturbed copies, so one block mesh serves all.
+        n_rows = 2 * self.n_colors
+        n_blocks = -(-n_rows // max(1, JACOBIAN_BLOCK_FACES // mesh.n_faces))
+        self.block = _block_mesh(mesh, -(-n_rows // n_blocks))
 
     def _rho(self, bundle, row=...):
         self.evaluations += 1
@@ -440,24 +458,26 @@ class _ResidualEngine(_Engine):
         evaluations; J's data on its 2-ring CSR pattern (indptr, indices).
 
         The perturbed positions are rows (plus_0, minus_0, plus_1, ...) of
-        one (2 x colors, V, 3) stack, which goes through the face pass in
-        blocks of about JACOBIAN_BLOCK_FACES faces.
+        one stack, which goes through the face pass one block mesh at a
+        time.
         """
         h = FD_STEP_REL * mesh.bbox_diagonal()
         V = mesh.n_vertices
         n_rows = 2 * self.n_colors
+        rows = self.block.n_vertices // V
         base, step = mesh.vertices, h * normals
-        stack = np.empty((n_rows, V, 3))
+        stack = np.empty((-(-n_rows // rows) * rows, V, 3))
         stack[:] = base
         vertex = np.arange(V)
         stack[2 * self.colors, vertex] = base + step
         stack[2 * self.colors + 1, vertex] = base - step
         rho = np.empty((n_rows, V))
-        block = max(1, JACOBIAN_BLOCK_FACES // mesh.n_faces)
-        for start in range(0, n_rows, block):
-            bundle = curvature_bundle(mesh, stack[start:start + block])
-            for k in range(len(bundle.vertex_area)):
-                rho[start + k] = self._rho(bundle, k)
+        for start in range(0, n_rows, rows):
+            bundle = curvature_bundle(self.block.with_positions(
+                stack[start:start + rows].reshape(-1, 3)))
+            for k in range(min(rows, n_rows - start)):
+                rho[start + k] = self._rho(bundle, slice(k * V, (k + 1) * V))
+            del bundle      # free its edge weights before the next block's pass
         diff = (rho[0::2] - rho[1::2]) / (2.0 * h)
         return diff[self.entry_color, self.entry_row]
 
@@ -570,14 +590,14 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     @clock("record_s")
     def record(m, bundle, it, obj, step_size, accepted):
         field = _mesh_residual(m, bundle, params)
+        energies = _mesh_energies(m, params, bundle)
         try:
             center, radius, rms = best_fit_sphere(m)
         except FitError:
             center, radius, rms = (np.nan, np.nan, np.nan), np.nan, np.nan
         rows.append(FlowRow(
-            iteration=it, objective=obj,
-            energy=_mesh_energies(m, params, bundle).helfrich,
-            area=float(field.areas.sum()), volume=signed_volume(m),
+            iteration=it, objective=obj, energy=energies.helfrich,
+            area=float(field.areas.sum()), volume=energies.volume,
             residual_l2=field.l2, residual_linf=field.linf, step_size=step_size,
             accepted=accepted, fit_center=tuple(center), fit_radius=radius,
             fit_rms=rms, grad_norm=grad_norm, backtracks=backtracks))

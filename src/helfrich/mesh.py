@@ -455,8 +455,9 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     # Even (original) vertices: Loop valence weights.
     valence = np.bincount(mesh.he_origin, minlength=V).astype(np.float64)
     beta = (5.0 / 8.0 - (3.0 / 8.0 + 0.25 * np.cos(2 * np.pi / valence)) ** 2) / valence
-    nbr_sum = np.zeros((V, 3))
-    np.add.at(nbr_sum, mesh.he_origin, mesh.vertices[mesh._he_dest])
+    # Each vertex's neighbours summed in half-edge order, as np.add.at does.
+    nbr_sum = np.stack([np.bincount(mesh.he_origin, c.take(mesh._he_dest), V)
+                        for c in np.ascontiguousarray(mesh.vertices.T)], axis=1)
     even_pts = (1.0 - valence * beta)[:, None] * mesh.vertices + beta[:, None] * nbr_sum
 
     new_verts = np.vstack([even_pts, edge_pts])

@@ -126,20 +126,24 @@ def area_gradient(mesh: TriangleMesh) -> np.ndarray:
     grads = (np.cross(n_hat, p2 - p1),
              np.cross(n_hat, p0 - p2),
              np.cross(n_hat, p1 - p0))
-    out = np.zeros((mesh.n_vertices, 3))
-    for corner, gval in enumerate(grads):
-        np.add.at(out, mesh.faces[:, corner], 0.5 * gval)
-    return out
+    return _corner_scatter(mesh, [0.5 * g for g in grads])
 
 
 def volume_gradient(mesh: TriangleMesh) -> np.ndarray:
     """Exact polyhedral gradient of the signed enclosed volume."""
     p0, p1, p2 = mesh.face_corner_positions()
     contribs = (np.cross(p1, p2), np.cross(p2, p0), np.cross(p0, p1))
-    out = np.zeros((mesh.n_vertices, 3))
-    for corner, cval in enumerate(contribs):
-        np.add.at(out, mesh.faces[:, corner], cval / 6.0)
-    return out
+    return _corner_scatter(mesh, [c / 6.0 for c in contribs])
+
+
+def _corner_scatter(mesh, values):
+    """Per-vertex sums of the (F, 3) values of corners 0, 1 and 2, each bin
+    summed over corner 0's faces in face order, then corner 1's, then
+    corner 2's: ``np.add.at``'s order, so the sums are bitwise its sums."""
+    corners = mesh.faces.T.reshape(-1)
+    columns = np.concatenate(values).T
+    return np.stack([np.bincount(corners, c, mesh.n_vertices) for c in columns],
+                    axis=1)
 
 
 def energy_gradient(mesh: TriangleMesh, params: EnergyParams) -> np.ndarray:

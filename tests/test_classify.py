@@ -128,7 +128,7 @@ def test_classify_sphere_branch_with_evidence():
 def test_classify_plane_branch():
     p = EnergyParams(0.0, 1.0, 0.0)
     table = radius_scan(p, 0.5, 10.0, 100)
-    v = classify_case(p, scan=table, flat_patch_residual=0.0)
+    v = classify_case(p, scan=table)
     assert v.branch == "lam1>0,lam2=0"
     assert v.consistent
     assert not table.roots()           # no sphere is critical on this branch

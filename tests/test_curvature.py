@@ -289,7 +289,7 @@ def test_degenerate_face_index_matches_reference():
         assert str(got.value) == str(ref.value)
 
 
-# -- stacked positions against one bundle per mesh -------------------------------
+# -- block meshes against one bundle per mesh -----------------------------------
 
 BUNDLE_ARRAYS = ("vertex_area", "normal", "mean_curvature", "gauss_curvature",
                  "tracefree_raw", "laplace_mean_curvature")
@@ -313,38 +313,29 @@ def _position_stack(mesh, rows, seed):
     lambda: hf.catenoid_mesh(1.0, 2.0, (24, 16)),
     _sheared_sphere,
 ], ids=["sphere_L1", "sphere_L2", "sphere_L3", "catenoid", "sheared"])
-def test_stacked_bundle_matches_per_mesh_bitwise(make):
+def test_block_mesh_rows_match_per_mesh_bitwise(make):
+    """Copy k of a block mesh, read at vertices k V ... (k + 1) V - 1, is
+    bitwise the bundle of copy k's positions on the mesh itself."""
+    from helfrich.flow import _block_mesh
+
     m = make()
-    stack = _position_stack(m, 5, seed=m.n_vertices)
-    stacked = curvature_bundle(m, stack)
-    assert np.array_equal(stacked.interior, ~m.boundary_vertex)
+    V = m.n_vertices
+    stack = _position_stack(m, 5, seed=V)
+    block = _block_mesh(m, len(stack)).with_positions(stack.reshape(-1, 3))
+    both = curvature_bundle(block)
+    assert np.array_equal(both.interior, np.tile(~m.boundary_vertex, len(stack)))
     obtuse = []
-    for b, positions in enumerate(stack):
+    for k, positions in enumerate(stack):
         single = curvature_bundle(m.with_positions(positions))
+        row = slice(k * V, (k + 1) * V)
         for name in BUNDLE_ARRAYS:
-            assert _bits(getattr(stacked, name)[b]) == _bits(getattr(single, name)), name
-        assert stacked.obtuse_faces[b] == single.obtuse_faces
-        assert _bits(stacked.surface_area[b]) == _bits(single.surface_area)
+            assert _bits(getattr(both, name)[row]) == _bits(getattr(single, name)), name
+        assert _bits(both.edge_weight[:, k * m.n_faces:(k + 1) * m.n_faces]) \
+            == _bits(single.edge_weight)
         obtuse.append(single.obtuse_faces)
+    assert both.obtuse_faces == sum(obtuse)
     if make is _sheared_sphere:
         assert min(obtuse) > 0          # the obtuse-triangle fallback ran
     if not m.closed:
-        assert np.isnan(stacked.mean_curvature[:, m.boundary_vertex]).all()
-
-
-def test_stacked_degenerate_row_raises_like_first_failing_mesh():
-    m = hf.icosphere(1.0, 2)
-    stack = _position_stack(m, 4, seed=3)
-    for row, face in ((1, 37), (3, 5)):          # the later row has the lower face
-        stack[row, m.faces[face, 2]] = stack[row, m.faces[face, 0]]
-    first = None
-    for positions in stack:
-        try:
-            curvature_bundle(m.with_positions(positions))
-        except OperatorError as e:
-            first = str(e)
-            break
-    assert first == "degenerate face 37"
-    with pytest.raises(OperatorError) as got:
-        curvature_bundle(m, stack)
-    assert str(got.value) == first
+        assert np.isnan(both.mean_curvature.reshape(len(stack), V)
+                        [:, m.boundary_vertex]).all()

@@ -363,7 +363,8 @@ def test_energy_descent_willmore_error_falls_under_refinement():
 @pytest.mark.parametrize("level", [2, 3])
 def test_jacobian_stacks_its_face_passes(monkeypatch, level):
     """2 x colors perturbed meshes in ceil(2C / rows) face passes, with rows
-    = JACOBIAN_BLOCK_FACES // F, and one residual evaluation per mesh."""
+    = JACOBIAN_BLOCK_FACES // F, each on the engine's block mesh, and one
+    residual evaluation per perturbed mesh."""
     import helfrich.curvature as curvature
 
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
@@ -375,15 +376,33 @@ def test_jacobian_stacks_its_face_passes(monkeypatch, level):
     monkeypatch.setattr(curvature, "_face_data",
                         lambda *args: passes.append(args) or real_pass(*args))
     monkeypatch.setattr(hf.TriangleMesh, "with_positions",
-                        lambda self, v: copies.append(v) or real_copy(self, v))
+                        lambda self, v: copies.append(self) or real_copy(self, v))
     engine.jacobian(mesh, normals)
     n_rows = 2 * engine.n_colors
     rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
     assert rows == {2: 12, 3: 3}[level]
     assert len(passes) == -(-n_rows // rows)
-    assert sum(len(args[1]) for args in passes) == n_rows
+    block_rows = engine.block.n_vertices // mesh.n_vertices
+    assert all(args[0].n_vertices == engine.block.n_vertices for args in passes)
+    assert n_rows <= len(passes) * block_rows < n_rows + len(passes)
     assert engine.evaluations == n_rows
-    assert copies == []
+    assert len(copies) == len(passes) and all(c is engine.block for c in copies)
+
+
+def test_jacobian_builds_its_block_mesh_once(monkeypatch):
+    """A residual flow constructs one mesh, its block mesh, however many
+    Jacobians it builds."""
+    real_init = hf.TriangleMesh.__init__
+    built = []
+    monkeypatch.setattr(hf.TriangleMesh, "__init__", lambda self, *args, **kw: (
+        built.append(1) or real_init(self, *args, **kw)))
+    mesh = hf.perturbed_sphere(2.0, 0.05, 2)
+    built.clear()
+    cfg = FlowConfig(mode="residual_descent", initial_step=0.1,
+                     max_iterations=40, grad_tol=1e-8)
+    tr = flow_run(mesh, CRITICAL, cfg)
+    assert tr.meta["jacobian_builds"] >= 3
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("mode", flow.MODES)
@@ -542,8 +561,8 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
-    """Every face pass of a flow is an objective evaluation or a stacked
-    block of a Jacobian build (residual descent): directions and trace rows
+    """Every face pass of a flow is an objective evaluation or a block mesh
+    of a Jacobian build (residual descent): directions and trace rows
     read the bundle the objective computed, and the last row equals the
     separate evaluations."""
     import helfrich.curvature as curvature
@@ -552,7 +571,7 @@ def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
     passes, directions = [], []
     real_pass = curvature._face_data
     monkeypatch.setattr(curvature, "_face_data",
-                        lambda *args: passes.append(len(args)) or real_pass(*args))
+                        lambda *args: passes.append(args[0].n_vertices) or real_pass(*args))
     real_step = flow._Engine.step      # one step per direction
     monkeypatch.setattr(flow._Engine, "step", lambda self, *args: (
         directions.append(1) or real_step(self, *args)))
@@ -560,7 +579,8 @@ def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
     mesh = hf.perturbed_sphere(2.0, 0.05, 1)
     tr = flow_run(mesh, CRITICAL, cfg)
     assert len(tr.rows) >= 4 and directions
-    single, stacked = passes.count(1), passes.count(2)
+    single = passes.count(mesh.n_vertices)
+    stacked = len(passes) - single
     assert single == tr.meta["objective_evaluations"]
     if mode == "residual_descent":
         rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces

@@ -155,6 +155,18 @@ def test_refine_splits_each_face_into_four_in_place():
     assert hf.validate(r).ok
 
 
+@pytest.mark.parametrize("level", [2, 4])
+def test_refine_even_vertices_sum_neighbours_like_add_at_bitwise(level):
+    m = hf.perturbed_sphere(1.0, 0.1, level)        # not reprojected
+    V = m.n_vertices
+    nbr_sum = np.zeros((V, 3))
+    np.add.at(nbr_sum, m.he_origin, m.vertices[m._he_dest])
+    valence = np.bincount(m.he_origin, minlength=V).astype(np.float64)
+    beta = (5.0 / 8.0 - (3.0 / 8.0 + 0.25 * np.cos(2 * np.pi / valence)) ** 2) / valence
+    even = (1.0 - valence * beta)[:, None] * m.vertices + beta[:, None] * nbr_sum
+    assert np.array_equal(hf.refine(m).vertices[:V], even)
+
+
 # sha256(vertices.tobytes() + faces.tobytes()), recorded before the
 # primitives were vectorized; the array code must reproduce them bitwise.
 PINNED_PRIMITIVES = [

@@ -186,6 +186,32 @@ def test_open_mesh_lambda_energy_undefined():
     assert mesh_energy(patch, EnergyParams()) == pytest.approx(0.0, abs=1e-20)
 
 
+def _add_at_corners(mesh, values):
+    """Reference scatter: np.add.at of each corner's (F, 3) values in turn."""
+    out = np.zeros((mesh.n_vertices, 3))
+    for corner, v in enumerate(values):
+        np.add.at(out, mesh.faces[:, corner], v)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda level=level: hf.perturbed_sphere(1.0, 0.1, level) for level in (3, 4, 5)),
+    lambda: hf.flat_patch((12, 9), (1.0, 0.7)),
+], ids=["L3", "L4", "L5", "open_patch"])
+def test_area_volume_gradients_sum_like_add_at_bitwise(make):
+    m = make()
+    p0, p1, p2 = m.face_corner_positions()
+    n = np.cross(p1 - p0, p2 - p0)
+    n_hat = n / np.linalg.norm(n, axis=1, keepdims=True)
+    area = _add_at_corners(m, [0.5 * np.cross(n_hat, p2 - p1),
+                               0.5 * np.cross(n_hat, p0 - p2),
+                               0.5 * np.cross(n_hat, p1 - p0)])
+    volume = _add_at_corners(m, [np.cross(p1, p2) / 6.0, np.cross(p2, p0) / 6.0,
+                                 np.cross(p0, p1) / 6.0])
+    assert np.array_equal(area_gradient(m), area)
+    assert np.array_equal(volume_gradient(m), volume)
+
+
 def test_area_volume_gradient_shapes_and_sphere_direction():
     m = hf.icosphere(1.0, 3)
     ga, gv = area_gradient(m), volume_gradient(m)
