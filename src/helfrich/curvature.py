@@ -166,15 +166,6 @@ def _edges(fp):
     return (*_edge_ends(fp.corners), 0.5 * np.concatenate(fp.cots))
 
 
-def _stiffness_terms(i, j, w):
-    """COO rows, columns (int32) and values of the cotangent stiffness: face
-    edge (i, j) of weight w adds (i, j, w), (j, i, w), (i, i, -w) and
-    (j, j, -w), each kind in a block of its own."""
-    i, j = i.astype(np.int32), j.astype(np.int32)
-    return (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]),
-            np.concatenate([w, w, -w, -w]))
-
-
 def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
     """Vectorized cotangent/angle-defect curvature estimate at every vertex,
     with the Laplacian of H from the same face-geometry pass."""
@@ -222,66 +213,79 @@ def curvature_bundle(mesh: TriangleMesh) -> CurvatureBundle:
 
 
 def cotan_operator(mesh: TriangleMesh) -> SparseOperator:
-    """Cotangent stiffness (row sums 0, symmetric) with mixed-Voronoi mass."""
+    """Cotangent stiffness (row sums 0, exactly symmetric) with mixed-Voronoi
+    mass; the stiffness is ``_OneRing``'s, from the face pass's edge weights."""
     fp = _face_data(mesh)
-    V = mesh.n_vertices
-    mass = _corner_sum(mesh.faces, fp.voronoi, V)
-    i, j, w = _edges(fp)
-    del fp      # free the face columns before the sparse assembly's peak
-    # int32 indices, which coo_matrix keeps as they are instead of copying.
-    rows, cols, vals = _stiffness_terms(i, j, w)
-    del i, j, w     # likewise the edge columns
-    stiffness = sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
-    return SparseOperator(stiffness=stiffness, mass=mass)
+    mass = _corner_sum(mesh.faces, fp.voronoi, mesh.n_vertices)
+    w = 0.5 * np.concatenate(fp.cots)
+    del fp      # free the face columns before the assembly's peak
+    ring = _OneRing(mesh)
+    return SparseOperator(stiffness=ring.matrix(ring.stiffness(w)), mass=mass)
 
 
-class _StiffnessFill:
-    """The cotangent stiffness of one mesh's connectivity, filled from edge
-    weights alone and bitwise what ``cotan_operator`` assembles.
+class _OneRing:
+    """The closed vertex 1-ring of one connectivity: a CSR pattern with
+    sorted indices, which is the cotangent stiffness K's, and where K's terms
+    go in it.
 
-    ``coo_matrix(...).tocsr()`` places the COO terms by row in input order,
-    sorts each row by column with std::sort, which is not stable, and adds
-    each run of equal columns left to right.  The fill takes that order from
-    scipy itself, by running the same sort on the terms' own indices, and
-    keeps the terms in it: each one's stored entry (``slot``) and its weight
-    in [w, -w] (``term``; an index below 3F is +w).  A stiffness is then one
-    np.bincount, which adds each entry's terms in that order.  Both arrays
-    are int32, as flows hold them for their whole run.
+    Face edge (i, j) of weight w adds w to K's entries (i, j) and (j, i) and
+    -w to (i, i) and (j, j).  ``edge`` gives each face edge, in
+    ``_edge_ends`` order, its undirected edge lo < hi; rows 0 to 3 of
+    ``slot`` hold each edge's entries (lo, hi), (hi, lo), (lo, lo) and
+    (hi, hi).  K's data sums each edge's face terms (two on a manifold,
+    whose sum does not depend on their order), so K is exactly symmetric,
+    and each diagonal entry adds its vertex's edge sums in slot order.  The
+    index arrays are int32, as flows hold them for their whole run.
     """
 
     def __init__(self, mesh: TriangleMesh):
-        V, F3 = mesh.n_vertices, 3 * mesh.n_faces
-        # Signed edge ids 1 ... 3F as the weights: each term's value is then
-        # its edge and sign.
-        rows, cols, ids = _stiffness_terms(*_edge_ends(mesh.faces.T),
-                                           np.arange(1, F3 + 1, dtype=np.int32))
-        indptr = np.zeros(V + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=V), out=indptr[1:])
-        by_row = np.argsort(rows, kind="stable")        # as coo_tocsr places them
-        placed = sp.csr_matrix((by_row.astype(np.float64), cols[by_row], indptr),
-                               shape=(V, V))
-        del rows, cols, by_row
-        placed.sort_indices()
-        signed = ids[placed.data.astype(np.intp)]
-        self.term = np.where(signed > 0, signed - 1, F3 - 1 - signed)
-        # A stored entry starts at each row's first term and at each change
-        # of column within a row.
-        col = placed.indices
-        first = np.empty(len(col), dtype=bool)
-        first[0] = True
-        np.not_equal(col[1:], col[:-1], out=first[1:])
-        first[indptr[:-1][np.diff(indptr) > 0]] = True
-        before = np.zeros(len(col) + 1, dtype=np.int32)     # entries started before
-        np.cumsum(first, out=before[1:])
-        self.slot = before[1:] - 1
-        # K's CSR pattern: sorted indices, one entry per vertex pair.
-        self.indptr, self.indices = before[indptr], col[first]
+        V = mesh.n_vertices
+        i, j = _edge_ends(mesh.faces.T)
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        del i, j
+        code = lo * V + hi
+        order = code.argsort()
+        code = code[order]
+        first = np.empty(len(code), dtype=bool)
+        first[:1] = True
+        np.not_equal(code[1:], code[:-1], out=first[1:])
+        self.edge = np.empty(len(code), dtype=np.int32)
+        self.edge[order] = np.cumsum(first, dtype=np.int32) - 1
+        keep = order[first]
+        lo, hi = lo[keep], hi[keep]                     # the edges by (lo, hi)
+        del code, order, first, keep
+        # Row v: its lower neighbours, v itself if a face uses it, then its
+        # upper neighbours, each part ascending.
+        lower, upper = np.bincount(hi, minlength=V), np.bincount(lo, minlength=V)
+        size = lower + upper
+        size += size > 0
+        start = np.zeros(V + 1, dtype=np.int64)
+        np.cumsum(size, out=start[1:])
+        diag = start[:-1] + lower
+        # The upper part of row v takes the edges (v, hi) in edge order, the
+        # lower part the edges (lo, v) in (hi, lo) order.
+        k = np.arange(len(lo))
+        self.slot = np.empty((4, len(lo)), dtype=np.int32)
+        self.slot[0] = (diag + 1 - (np.cumsum(upper) - upper))[lo] + k
+        by_hi = hi.argsort(kind="stable")
+        self.slot[1, by_hi] = (start[:-1] - (np.cumsum(lower) - lower))[hi[by_hi]] + k
+        self.slot[2], self.slot[3] = diag[lo], diag[hi]
+        self.indices = np.empty(start[-1], dtype=np.int32)
+        for slot, col in zip(self.slot, (hi, lo, lo, hi)):
+            self.indices[slot] = col
+        self.indptr = start.astype(np.int32)
 
-    def data(self, edge_weight):
-        """K's data on its pattern from the (3, F) weights of a bundle."""
-        w = edge_weight.reshape(-1)
-        return np.bincount(self.slot, np.concatenate([w, -w]).take(self.term),
+    def stiffness(self, edge_weight):
+        """K's data on the pattern from the weights of the face edges, in
+        ``_edge_ends`` order: a bundle's (3, F) ``edge_weight``."""
+        w = np.bincount(self.edge, edge_weight.reshape(-1), self.slot.shape[1])
+        return np.bincount(self.slot.reshape(-1), np.concatenate([w, w, -w, -w]),
                            len(self.indices))
+
+    def matrix(self, data):
+        """The (V, V) CSR matrix of ``data`` on the pattern."""
+        V = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(V, V))
 
 
 def laplace_field(op: SparseOperator, field) -> np.ndarray:

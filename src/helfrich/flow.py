@@ -86,9 +86,9 @@ A search that halves below STEP_TOL ends the run stalled.
 Each objective evaluation returns the curvature bundle it computed, and the
 flow carries the accepted trial's bundle into the next direction and trace
 row, so every iterate goes through the face pass once.  Energy descent takes
-M from the bundle's vertex areas and K from its edge weights, summed by a
-fill built once per flow (_StiffnessFill) in the order of the scipy COO to
-CSR conversion that cotan_operator runs, so K is bitwise that operator's.
+M from the bundle's vertex areas and K from its edge weights, summed onto
+the 1-ring built once per flow (curvature._OneRing), the one assembly that
+cotan_operator also runs, so K is bitwise that operator's.
 
 grad_tol and STEP_TOL are absolute, and on fine meshes neither engine meets
 them where its objective stops falling.  Energy descent's assembled gradient
@@ -123,12 +123,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .analytic import residual_values
-from .curvature import _StiffnessFill, curvature_bundle
+from .curvature import _OneRing, curvature_bundle
 # Not used here: bound so that the benchmark tracer, which wraps every module
 # binding of the face pass (perfbench/tracing.py), keeps finding it in flow.
 from .curvature import _face_data  # noqa: F401
@@ -169,14 +168,14 @@ class FlowConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        if not 0 < self.initial_step < np.inf:
+            raise ValueError(f"initial_step must be finite and > 0, got {self.initial_step}")
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
+        for name in ("max_iterations", "log_every"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -270,18 +269,6 @@ def _block_mesh(mesh, copies):
     offsets = mesh.n_vertices * np.arange(copies)[:, None, None]
     return TriangleMesh(np.tile(mesh.vertices, (copies, 1)),
                         (mesh.faces + offsets).reshape(-1, 3))
-
-
-def _vertex_adjacency(mesh):
-    """The vertex 1-ring: the adjacency plus the identity, a symmetric (V, V)
-    CSR pattern of ones with sorted indices, which is also the cotangent
-    stiffness's pattern."""
-    V = mesh.n_vertices
-    vertex = np.arange(V)
-    return sp.csr_matrix(
-        (np.ones(len(mesh.he_origin) + V),
-         (np.concatenate([mesh.he_origin, vertex]),
-          np.concatenate([mesh._he_dest, vertex]))), shape=(V, V))
 
 
 def _jacobian_coloring(ring):
@@ -384,9 +371,10 @@ class _PhaseClock:
 
 
 class _Engine:
-    """What both descent engines share: the 1-ring, the band solver, ordered
-    once for the flow's mesh, and the step through it.  Each engine builds
-    the band index of its own system, ``index``."""
+    """What both descent engines share: the 1-ring (``one_ring``, and
+    ``ring``, its CSR pattern of ones), the band solver, ordered once for the
+    flow's mesh, and the step through it.  Each engine builds the band index
+    of its own system, ``index``."""
 
     # The kept derivatives come from an earlier iterate than the current
     # one; only residual descent keeps any.
@@ -396,7 +384,8 @@ class _Engine:
         self.params = params
         self.evaluations = 0
         self.clock = _PhaseClock()
-        self.ring = _vertex_adjacency(mesh)
+        self.one_ring = _OneRing(mesh)
+        self.ring = self.one_ring.matrix(np.ones(len(self.one_ring.indices)))
         self.solver = _BandSolver(self.ring)
 
     def step(self, band, rhs, g, normals):
@@ -528,10 +517,7 @@ class _EnergyEngine(_Engine):
 
     def __init__(self, params, mesh):
         super().__init__(params, mesh)
-        # K's sorted CSR arrays are the 1-ring's: its data is X, 1/M is s.
-        self.fill = _StiffnessFill(mesh)
-        assert (np.array_equal(self.fill.indptr, self.ring.indptr)
-                and np.array_equal(self.fill.indices, self.ring.indices))
+        # K's pattern is the 1-ring: its data is X, 1/M is s.
         self.index = _BandIndex(self.ring.indptr, self.ring.indices,
                                 self.solver.rank, descending=True)
 
@@ -549,7 +535,7 @@ class _EnergyEngine(_Engine):
         with self.clock("solve_s"):
             M = bundle.vertex_area
             sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
-            metric = self.index.band(self.fill.data(bundle.edge_weight), 1.0 / M)
+            metric = self.index.band(self.one_ring.stiffness(bundle.edge_weight), 1.0 / M)
             metric *= sigma
             metric[0] += M[self.solver.order]
             direction, slope = self.step(metric, -g, g, bundle.normal)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import helfrich as hf
 from helfrich.curvature import (
-    _StiffnessFill,
+    _OneRing,
     angle_defect_total,
     cotan_operator,
     curvature_bundle,
@@ -213,15 +213,35 @@ def _reference_bundle(mesh):
     H[mesh.boundary_vertex] = np.nan
     K[mesh.boundary_vertex] = np.nan
     d = w * (H[j] - H[i])
-    stiffness = sp.coo_matrix((np.concatenate([w, w, -w, -w]),
-                               (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
-                              shape=(V, V)).tocsr()
     return {
         "vertex_area": areas, "normal": inward, "mean_curvature": H,
         "gauss_curvature": K, "tracefree_raw": 0.5 * H * H - 2.0 * K,
         "laplace_mean_curvature": (np.bincount(i, d, V) + np.bincount(j, -d, V)) / areas,
         "interior": ~mesh.boundary_vertex, "obtuse_faces": int(fallback.sum()),
-        "stiffness": stiffness}
+        "stiffness": _coo_stiffness(mesh, w)}
+
+
+def _coo_stiffness(mesh, w):
+    """The cotangent stiffness from scipy's COO to CSR conversion: face edge
+    (i, j) of weight w adds (i, j, w), (j, i, w), (i, i, -w) and (j, j, -w)."""
+    f = mesh.faces
+    i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
+    j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
+    V = mesh.n_vertices
+    return sp.coo_matrix((np.concatenate([w, w, -w, -w]),
+                          (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
+                         shape=(V, V)).tocsr()
+
+
+def _assert_matches_coo(K, ref):
+    """K against a COO to CSR reference: the same pattern, the off-diagonal
+    entries bitwise and the diagonal ones to 1e-15 relative, since they add
+    the same terms in another order."""
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    diag = K.indices == np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    assert np.array_equal(K.data[~diag], ref.data[~diag])
+    assert np.all(np.abs(K.data[diag] - ref.data[diag]) <= 1e-15 * np.abs(ref.data[diag]))
 
 
 def _sheared_sphere():
@@ -247,8 +267,23 @@ def test_face_pass_matches_reference_bitwise(make):
     assert b.obtuse_faces == ref["obtuse_faces"]
     op = cotan_operator(m)
     assert np.array_equal(op.mass, ref["vertex_area"])
-    assert (op.stiffness != ref["stiffness"]).nnz == 0
-    assert np.array_equal(op.stiffness.data, ref["stiffness"].data)
+    _assert_matches_coo(op.stiffness, ref["stiffness"])
+
+
+def _flipped_face():
+    """A perturbed sphere with one face reversed, so that its edges repeat
+    directed edges of its neighbours."""
+    m = hf.perturbed_sphere(2.0, 0.2, 2)
+    faces = m.faces.copy()
+    faces[7] = faces[7, ::-1]
+    return hf.TriangleMesh(m.vertices, faces)
+
+
+def _unreferenced_vertex():
+    """A perturbed sphere with an extra vertex 5 that no face uses."""
+    m = hf.perturbed_sphere(2.0, 0.2, 2)
+    vertices = np.insert(m.vertices, 5, [9.0, 9.0, 9.0], axis=0)
+    return hf.TriangleMesh(vertices, m.faces + (m.faces >= 5))
 
 
 @pytest.mark.parametrize("make", [
@@ -256,24 +291,30 @@ def test_face_pass_matches_reference_bitwise(make):
     *(lambda level=level: hf.perturbed_sphere(2.0, 0.2, level) for level in (2, 4)),
     lambda: hf.catenoid_mesh(1.0, 2.0, (24, 16)),
     _sheared_sphere,
+    _flipped_face,
+    _unreferenced_vertex,
 ], ids=["ico_L1", "ico_L2", "ico_L3", "ico_L4", "ico_L5", "sphere_L2", "sphere_L4",
-        "catenoid", "sheared"])
+        "catenoid", "sheared", "flipped_face", "unreferenced_vertex"])
 def test_stiffness_fill_is_cotan_operator_bitwise(make):
-    """The fill from the bundle's edge weights has K's CSR pattern and data
-    bitwise: it adds each entry's terms in the order scipy's COO to CSR
-    conversion does (a stable sort of each row by column differs on every
-    mesh here)."""
+    """K's data from a bundle's edge weights on the 1-ring, as energy descent
+    fills it, is bitwise cotan_operator's stiffness, whose pattern is that of
+    scipy's COO to CSR conversion: a vertex no face uses has no entry."""
     m = make()
     K = cotan_operator(m).stiffness
-    fill = _StiffnessFill(m)
-    bundle = curvature_bundle(m)
+    with np.errstate(divide="ignore", invalid="ignore"):     # the unused vertex
+        bundle = curvature_bundle(m)
     assert bundle.edge_weight.shape == (3, m.n_faces)
-    data = fill.data(bundle.edge_weight)
-    assert np.array_equal(fill.indptr, K.indptr)
-    assert np.array_equal(fill.indices, K.indices)
-    assert np.array_equal(data, K.data)
+    ring = _OneRing(m)
+    assert np.array_equal(ring.indptr, K.indptr)
+    assert np.array_equal(ring.indices, K.indices)
+    assert np.array_equal(ring.stiffness(bundle.edge_weight), K.data)
+    _assert_matches_coo(K, _coo_stiffness(m, bundle.edge_weight.reshape(-1)))
     if make is _sheared_sphere:
         assert bundle.obtuse_faces > 0
+    if make is _flipped_face:
+        assert m._duplicate_directed.any()
+    if make is _unreferenced_vertex:
+        assert K.indptr[5] == K.indptr[6]
 
 
 def test_degenerate_face_index_matches_reference():

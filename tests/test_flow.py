@@ -26,6 +26,13 @@ def test_config_validation():
         FlowConfig(initial_step=-1.0).validate()
     with pytest.raises(ValueError):
         FlowConfig(max_iterations=0).validate()
+    for bad in ({"initial_step": np.inf}, {"initial_step": np.nan},
+                {"grad_tol": np.nan}, {"grad_tol": np.inf}, {"grad_tol": -1.0},
+                {"max_iterations": 2.5}, {"max_iterations": 3.0},
+                {"log_every": 1.5}, {"log_every": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            FlowConfig(**bad).validate()
+    FlowConfig(max_iterations=np.int64(3), log_every=np.int64(2)).validate()
 
 
 def test_best_fit_sphere_exact():
@@ -218,7 +225,7 @@ def test_colored_jacobian_equals_dense_fd_bitwise(level):
 @pytest.mark.parametrize("level, n_colors", [(2, 34), (3, 39)])
 def test_jacobian_coloring_is_distance_4(level, n_colors):
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
-    _, _, colors = flow._jacobian_coloring(flow._vertex_adjacency(mesh))
+    _, _, colors = flow._jacobian_coloring(flow._Engine(CRITICAL, mesh).ring)
     assert colors.max() + 1 == n_colors
     nbrs = [set() for _ in range(mesh.n_vertices)]
     for a, b, c in mesh.faces.tolist():
@@ -264,7 +271,7 @@ def test_summary_meta_counts_residual_evaluations(tmp_path, monkeypatch, mode):
     meta = payload["meta"]
     assert meta["residual_evaluations"] == len(calls) > 0
     if mode == "residual_descent":
-        _, _, colors = flow._jacobian_coloring(flow._vertex_adjacency(mesh))
+        _, _, colors = flow._jacobian_coloring(flow._Engine(CRITICAL, mesh).ring)
         assert meta["jacobian_colors"] == colors.max() + 1 == 21
     else:
         assert "jacobian_colors" not in meta
