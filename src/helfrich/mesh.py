@@ -101,7 +101,9 @@ class TriangleMesh:
 
     Half-edge ``h`` belongs to face ``h // 3``; ``origin[h]`` is its source
     vertex, ``next[h]`` the following half-edge in the same face, ``twin[h]``
-    the opposite half-edge or -1 on the boundary.
+    the opposite half-edge or -1 on the boundary.  ``origin`` and ``twin``
+    are stored; the face and ``next[h]`` are arithmetic on ``h`` and are
+    computed when read (``he_face``, ``he_next``).
     """
 
     def __init__(self, vertices, faces, source: PrimitiveSpec | None = None):
@@ -124,35 +126,42 @@ class TriangleMesh:
 
     def _build_halfedges(self):
         V = len(self.vertices)
-        F = len(self.faces)
+        H = 3 * len(self.faces)
         self.he_origin = self.faces.reshape(-1)                      # (3F,)
-        self.he_face = np.repeat(np.arange(F, dtype=np.int64), 3)
-        k = np.tile(np.arange(3, dtype=np.int64), F)
-        self.he_next = self.he_face * 3 + (k + 1) % 3
-        he_dest = self.he_origin[self.he_next]
+        he_dest = self.faces[:, [1, 2, 0]].reshape(-1)               # origin[next[h]]
 
-        code = self.he_origin * np.int64(V) + he_dest
-        order = np.argsort(code, kind="stable")
-        sorted_code = code[order]
-        dup = np.zeros(3 * F, dtype=bool)
-        rep = sorted_code[1:] == sorted_code[:-1]
-        dup[order[1:][rep]] = True
-        dup[order[:-1][rep]] = True
+        # One sort of the half-edges by undirected edge (lo, hi), with the
+        # direction (origin > dest) in the low bit.  Equal keys are duplicated
+        # directed edges; an edge whose two keys each occur once is a twin
+        # pair, adjacent in the order.  Tied keys are all duplicates, so the
+        # result does not depend on how the sort orders them.
+        key = np.minimum(self.he_origin, he_dest)
+        key *= V
+        key += np.maximum(self.he_origin, he_dest)
+        key <<= 1
+        key += self.he_origin > he_dest
+        order = np.argsort(key)
+        sorted_key = key[order]
+        del key                  # the twin array below can take its memory
+        rep = sorted_key[1:] == sorted_key[:-1]
+        dup_sorted = np.zeros(H, dtype=bool)
+        dup_sorted[1:] = rep
+        dup_sorted[:-1] |= rep
+        dup = np.zeros(H, dtype=bool)
+        dup[order[dup_sorted]] = True
         self._duplicate_directed = dup
 
-        twin_code = he_dest * np.int64(V) + self.he_origin
-        # Searching in twin-code order walks sorted_code once instead of
-        # jumping about it; each query's position is the same.
-        queries = np.argsort(twin_code)
-        pos = np.empty_like(queries)
-        pos[queries] = np.searchsorted(sorted_code, twin_code[queries])
-        pos = np.minimum(pos, max(3 * F - 1, 0))
-        found = sorted_code[pos] == twin_code
-        twin = np.full(3 * F, -1, dtype=np.int64)
-        twin[found] = order[pos[found]]
-        # A duplicated directed edge makes twin assignment ambiguous; leave -1.
-        twin[dup] = -1
-        twin[(twin >= 0) & dup[twin]] = -1
+        pair = (sorted_key[:-1] ^ 1) == sorted_key[1:]   # (2e, 2e + 1) side by side
+        pair &= ~dup_sorted[:-1]
+        pair &= ~dup_sorted[1:]
+        first = np.flatnonzero(pair)
+        twin = np.full(H, -1, dtype=np.int64)
+        twin[order[first]] = order[first + 1]
+        twin[order[first + 1]] = order[first]
+        # A self-loop (a face with a repeated vertex) is its own twin unless
+        # it is duplicated.
+        loop = np.flatnonzero((self.he_origin == he_dest) & ~dup)
+        twin[loop] = loop
         self.he_twin = twin
 
         self.is_boundary_halfedge = self.he_twin < 0
@@ -162,9 +171,22 @@ class TriangleMesh:
         self._he_dest = he_dest
 
         n_bdry = int(self.is_boundary_halfedge.sum())
-        self.n_edges = (3 * F + n_bdry) // 2 if not dup.any() else int(
-            len(np.unique(np.minimum(code, twin_code))))
-        self.closed = n_bdry == 0 and not dup.any()
+        any_dup = bool(rep.any())
+        # With duplicates, count the groups of equal undirected keys.
+        self.n_edges = (H + n_bdry) // 2 if not any_dup else int(
+            np.count_nonzero((sorted_key[1:] >> 1) != (sorted_key[:-1] >> 1)) + 1)
+        self.closed = n_bdry == 0 and not any_dup
+
+    @property
+    def he_face(self):
+        """Face of each half-edge, ``h // 3``; computed, not stored."""
+        return np.repeat(np.arange(self.n_faces, dtype=np.int64), 3)
+
+    @property
+    def he_next(self):
+        """Next half-edge in the same face; computed, not stored."""
+        h = np.arange(3 * self.n_faces, dtype=np.int64).reshape(-1, 3)
+        return h[:, [1, 2, 0]].reshape(-1)
 
     def with_positions(self, vertices):
         """New mesh sharing this connectivity with replaced positions."""
@@ -237,17 +259,19 @@ class TriangleMesh:
 
         ``h -> next[twin[h]]`` rotates an outgoing half-edge about its origin
         and is injective (twin is an involution), so each connected component
-        of that graph, a cycle or a chain, is one fan of one vertex.
-        Components are labelled by their smallest half-edge, spreading the
-        minimum over windows that double each round; a round that changes no
-        label means every window already spans its component.
+        of that graph, a cycle or a chain, is one fan of one vertex.  Its
+        inverse is ``h -> twin[prev[h]]``, each face's twins rotated, so
+        neither map needs a ``next`` array.  Components are labelled by their
+        smallest half-edge, spreading the minimum over windows that double
+        each round; a round that changes no label means every window already
+        spans its component.
         """
         h = np.arange(3 * self.n_faces)
-        paired = self.he_twin >= 0
+        back = self.he_twin.reshape(-1, 3)[:, [2, 0, 1]].reshape(-1)
+        paired = back >= 0
+        pred = np.where(paired, back, h)
         succ = h.copy()
-        succ[paired] = self.he_next[self.he_twin[paired]]
-        pred = h.copy()
-        pred[succ[paired]] = h[paired]
+        succ[back[paired]] = h[paired]
         label = h
         while True:
             new = np.minimum(label, np.minimum(label[succ], label[pred]))
@@ -420,12 +444,15 @@ def _split_faces(mesh: TriangleMesh):
     Returns ``(edge_he, faces)``: one half-edge per edge, ordered by the
     first half-edge ``3f + c`` that meets the edge, and the split faces, four
     children per parent face in parent order.  Edge ``e``'s midpoint is
-    vertex ``V + e``.
+    vertex ``V + e``.  An edge's canonical half-edge is the smaller of the
+    pair (``h <= twin[h]``), so a running count over the canonical
+    half-edges numbers the edges in that order without a sort.
     """
     h_idx = np.arange(3 * mesh.n_faces)
-    canon = np.minimum(h_idx, mesh.he_twin)           # canonical half-edge per edge
-    edge_he, edge_id = np.unique(canon, return_inverse=True)
-    m = mesh.n_vertices + edge_id.reshape(-1, 3)      # midpoint ids per face corner
+    canonical = h_idx <= mesh.he_twin
+    edge_he = np.flatnonzero(canonical)
+    edge_id = np.cumsum(canonical) - 1
+    m = mesh.n_vertices + edge_id[np.minimum(h_idx, mesh.he_twin)].reshape(-1, 3)
     i, j, k = mesh.faces.T
     mij, mjk, mki = m.T
     faces = np.stack([i, mij, mki, j, mjk, mij, k, mki, mjk, mij, mjk, mki], axis=1)
@@ -477,16 +504,16 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
 def save_mesh(mesh: TriangleMesh, path):
     """Write OBJ or OFF (by extension) with 17-significant-digit positions."""
     path = str(path)
-    verts, faces = mesh.vertices.tolist(), mesh.faces.tolist()
+    V, F = mesh.n_vertices, mesh.n_faces
+    coords = tuple(mesh.vertices.ravel().tolist())
     if path.lower().endswith(".obj"):
-        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
-        lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in faces]
-        text = "\n".join(lines) + "\n"
+        text = (("v %.17g %.17g %.17g\n" * V) % coords
+                + ("f %d %d %d\n" * F) % tuple((mesh.faces + 1).ravel().tolist()))
+        text = text or "\n"       # an empty mesh is one empty line
     elif path.lower().endswith(".off"):
-        lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}"]
-        lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
-        lines += [f"3 {i} {j} {k}" for i, j, k in faces]
-        text = "\n".join(lines) + "\n"
+        text = (f"OFF\n{V} {F} {mesh.n_edges}\n"
+                + ("%.17g %.17g %.17g\n" * V) % coords
+                + ("3 %d %d %d\n" * F) % tuple(mesh.faces.ravel().tolist()))
     else:
         raise MeshInputError(f"unsupported mesh extension for {path!r}")
     with open(path, "w", encoding="ascii") as fh:

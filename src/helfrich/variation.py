@@ -61,8 +61,8 @@ def _stencil_interior(mesh, interior):
     if mesh.closed:
         return interior.copy()
     bad = ~interior
-    nbr_bad = np.zeros(mesh.n_vertices, dtype=bool)
-    np.logical_or.at(nbr_bad, mesh.he_origin, bad[mesh._he_dest])
+    # A vertex is next to a bad one when its count of bad neighbours is > 0.
+    nbr_bad = np.bincount(mesh.he_origin, bad[mesh._he_dest], mesh.n_vertices) > 0
     return interior & ~nbr_bad
 
 

@@ -298,6 +298,32 @@ def test_roundtrip_bitwise(tmp_path, ext):
         path2.read_bytes().splitlines()[-m.n_faces:]
 
 
+def _save_line_by_line(m, ext):
+    """The file text built one formatted line at a time."""
+    verts, faces = m.vertices.tolist(), m.faces.tolist()
+    if ext == "obj":
+        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
+        lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in faces]
+    else:
+        lines = ["OFF", f"{m.n_vertices} {m.n_faces} {m.n_edges}"]
+        lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in verts]
+        lines += [f"3 {i} {j} {k}" for i, j, k in faces]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("ext", ["obj", "off"])
+@pytest.mark.parametrize("make", [lambda: hf.icosphere(1.0, 2),
+                                  lambda: hf.flat_patch((5, 3), (0.3, 1.7)),
+                                  lambda: hf.TriangleMesh(np.zeros((0, 3)),
+                                                          np.zeros((0, 3), dtype=int))],
+                         ids=["icosphere", "flat_patch", "empty"])
+def test_save_bytes_match_line_by_line_formatting(tmp_path, make, ext):
+    m = make()
+    path = tmp_path / f"mesh.{ext}"
+    hf.save_mesh(m, path)
+    assert path.read_bytes() == _save_line_by_line(m, ext)
+
+
 def test_off_quad_face_rejected(tmp_path):
     path = tmp_path / "quad.off"
     path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
@@ -388,17 +414,64 @@ def _soup_with_duplicated_edge():
     return hf.TriangleMesh(base.vertices, faces)
 
 
-@pytest.mark.parametrize("make", [lambda: hf.icosphere(1.0, 3),
-                                  lambda: hf.catenoid_mesh(1.0, 1.0, (12, 16)),
-                                  _soup_with_duplicated_edge],
-                         ids=["icosphere", "catenoid", "soup"])
+def _self_loop_faces():
+    # [0, 0, 1] has a self-loop 0 -> 0 (its own twin) and a twin pair inside
+    # the face; [2, 2, 2] has three duplicated self-loops.
+    base = hf.icosphere(1.0, 0)
+    return hf.TriangleMesh(base.vertices, np.vstack([base.faces, [[0, 0, 1], [2, 2, 2]]]))
+
+
+def _random_soups(n=200, seed=2024):
+    """Seeded face soups on 3-12 vertices: faces with repeated corners,
+    duplicated and opposed directed edges, open and closed parts."""
+    rng = np.random.default_rng(seed)
+    soups = []
+    for _ in range(n):
+        V, F = int(rng.integers(3, 13)), int(rng.integers(1, 14))
+        faces = [rng.choice(V, 3, replace=False) if rng.random() < 0.7
+                 else rng.integers(0, V, 3) for _ in range(F)]
+        soups.append(hf.TriangleMesh(rng.normal(size=(V, 3)), faces))
+    return soups
+
+
+@pytest.mark.parametrize("make", [lambda: [hf.icosphere(1.0, 3)],
+                                  lambda: [hf.catenoid_mesh(1.0, 1.0, (12, 16))],
+                                  lambda: [_soup_with_duplicated_edge()],
+                                  lambda: [_self_loop_faces()],
+                                  lambda: [hf.flat_patch((6, 5))],
+                                  _random_soups],
+                         ids=["icosphere", "catenoid", "soup", "self_loop", "flat_patch",
+                              "random_soups"])
 def test_twin_lookup_matches_unsorted_queries(make):
-    m = make()
-    twin, dup, n_edges, closed = _reference_halfedges(m.faces, len(m.vertices))
-    assert np.array_equal(m.he_twin, twin)
-    assert np.array_equal(m._duplicate_directed, dup)
-    assert m.n_edges == n_edges
-    assert m.closed == closed
+    for m in make():
+        twin, dup, n_edges, closed = _reference_halfedges(m.faces, len(m.vertices))
+        assert np.array_equal(m.he_twin, twin)
+        assert np.array_equal(m._duplicate_directed, dup)
+        assert m.n_edges == n_edges
+        assert m.closed == closed
+
+
+def _stored_bytes(m):
+    """Bytes of the distinct buffers behind a mesh's array attributes."""
+    buffers = {}
+    for a in vars(m).values():
+        if isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):   # a view counts as its base
+                a = a.base
+            buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
+def test_mesh_stores_no_arithmetic_halfedge_arrays():
+    m = hf.icosphere(1.0, 4)
+    V, H = m.n_vertices, 3 * m.n_faces
+    # positions; faces (origin is a view of them), twin and dest, int64 per
+    # half-edge; the duplicate and boundary flags per half-edge and the
+    # boundary flag per vertex.  Face and next are arithmetic on h.
+    assert _stored_bytes(m) <= 24 * V + 3 * 8 * H + 2 * H + V
+    h = np.arange(H)
+    assert np.array_equal(m.he_face, h // 3)
+    assert np.array_equal(m.he_next, h // 3 * 3 + (h + 1) % 3)
 
 
 def test_with_positions_shares_connectivity():

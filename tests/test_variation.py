@@ -121,6 +121,21 @@ def test_open_mesh_residual_masks_boundary_stencil():
     assert field.interior.sum() < (~m.boundary_vertex).sum()
 
 
+@pytest.mark.parametrize("make", [lambda: hf.catenoid_mesh(1.0, 2.0, (32, 32)),
+                                  lambda: hf.flat_patch((9, 7))],
+                         ids=["catenoid", "flat_patch"])
+def test_stencil_interior_matches_logical_or_at(make):
+    from helfrich.curvature import curvature_bundle
+    from helfrich.variation import _stencil_interior
+    m = make()
+    interior = curvature_bundle(m).interior
+    nbr_bad = np.zeros(m.n_vertices, dtype=bool)
+    np.logical_or.at(nbr_bad, m.he_origin, ~interior[m._he_dest])
+    mask = _stencil_interior(m, interior)
+    assert np.array_equal(mask, interior & ~nbr_bad)
+    assert mask.any() and (mask != interior).any()
+
+
 def test_oracle_residual_needs_stored_laplacian():
     from helfrich.analytic import graph_surface
     s = graph_surface(lambda x, y: x * y, lambda x, y: y, lambda x, y: x,
