@@ -72,23 +72,48 @@ class ScanTable:
         return float(np.abs(self.residual).min())
 
     def roots(self):
-        """Sign-change roots of the closed-form residual, refined by brentq.
+        """Roots of the closed-form residual along the scan, in rising rho.
 
-        scipy.optimize is imported here, on the first call, not with the
-        module: it is about 170 of the 800 modules an eager import would
-        load, and only scans and classification refine a root.  A process
-        that only builds meshes, evaluates energies or runs flows never
-        loads it.
+        A sample whose residual is exactly 0 is a root, returned as its own
+        rho, when every neighbour it has is nonzero; a run of zeros (the
+        lam1 = lam2 = 0 family, critical at every radius) gives none.  Each
+        sign change between neighbouring samples is refined by bisection on
+        ``sphere_residual``: the bracket is halved, keeping the half where
+        the sign changes, until no float lies strictly between its ends.
+        The end with the smaller |residual| (the lower one on a tie) is
+        returned, or a midpoint whose residual is exactly 0.
+
+        Only signs of the residual are read: the result never uses the
+        closed form -2*lam1/lam2, which ``classify_case`` checks it against.
         """
-        from scipy.optimize import brentq
-
-        out = []
         r = self.residual
-        for i in np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]:
-            out.append(float(brentq(
-                lambda x: sphere_residual(self.params, x),
-                self.rho[i], self.rho[i + 1], xtol=1e-14, rtol=8.9e-16)))
+        zero = r == 0
+        isolated = zero.copy()
+        isolated[1:] &= ~zero[:-1]
+        isolated[:-1] &= ~zero[1:]
+        change = np.append(np.sign(r[:-1]) * np.sign(r[1:]) < 0, False)
+        out = []
+        for i in np.nonzero(isolated | change)[0]:
+            if isolated[i]:
+                out.append(float(self.rho[i]))
+            else:
+                out.append(self._bisect(self.rho[i], self.rho[i + 1],
+                                        r[i], r[i + 1]))
         return out
+
+    def _bisect(self, lo, hi, r_lo, r_hi):
+        lo, hi = float(lo), float(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return lo if abs(r_lo) <= abs(r_hi) else hi
+            r_mid = sphere_residual(self.params, mid)
+            if r_mid == 0:
+                return mid
+            if (r_mid < 0) == (r_lo < 0):
+                lo, r_lo = mid, r_mid
+            else:
+                hi, r_hi = mid, r_mid
 
     def write_csv(self, path):
         write_csv(path, ["rho", "residual", "abs_residual", "sphere_energy"],

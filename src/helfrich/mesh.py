@@ -525,12 +525,13 @@ def load_mesh(path) -> TriangleMesh:
     faces of zero area."""
     path = str(path)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    fmt = _FORMATS.get(path.lower().rpartition(".")[2])
-    if fmt is None:
-        raise MeshInputError(f"unsupported mesh extension for {path!r}")
-    select, base, count_ok, count_message = fmt
-    vert_rows, face_rows = select(lines)
+        fmt = _FORMATS.get(path.lower().rpartition(".")[2])
+        if fmt is None:
+            raise MeshInputError(f"unsupported mesh extension for {path!r}")
+        select, base, count_ok, count_message = fmt
+        # Neither the text nor its line list outlives the record selection,
+        # so neither is held through the conversion.
+        vert_rows, face_rows = select(fh.read().splitlines())
     verts = _convert(vert_rows, np.float64, np.greater_equal, "vertex needs 3 coordinates",
                      "bad vertex line", _check_vertices)
     faces = _convert(face_rows, np.int64, count_ok, count_message, "bad face index",

@@ -229,22 +229,25 @@ def gradient_check(mesh: TriangleMesh, params: EnergyParams, n_fields=20,
     diag = mesh.bbox_diagonal()
     # Richardson cancels the h^2 term exactly, so the polynomial volume can
     # take a large step (pure roundoff control); area and the full energy
-    # keep smaller steps against the residual h^4 truncation.
-    h_area = 1e-4 * diag
+    # keep a smaller step against the residual h^4 truncation.
     h_vol = 1e-2 * diag
     h_full = 1e-4 * diag
 
     def rel(analytic, fd):
         return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12)
 
+    def full_and_area(m):
+        # The report's area is face_areas().sum() bitwise, so the area row
+        # reads the full energy's displaced meshes instead of its own.
+        report = evaluate_energies(m, params)
+        return np.array([report.helfrich, report.area])
+
     rows = []
     for k, d in enumerate(fields):
-        fd_area = directional_derivative_fd(
-            mesh, params, d, h_area,
-            energy_fn=lambda m: m.face_areas().sum())
+        fd_full, fd_area = directional_derivative_fd(
+            mesh, params, d, h_full, energy_fn=full_and_area).tolist()
         fd_vol = directional_derivative_fd(mesh, params, d, h_vol,
                                            energy_fn=signed_volume)
-        fd_full = directional_derivative_fd(mesh, params, d, h_full)
         rows.append({
             "field": k,
             "area_rel": rel(float((g_area * d).sum()), fd_area),

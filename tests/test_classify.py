@@ -1,5 +1,6 @@
 """Branch classification over the sphere and plane families."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -34,20 +35,27 @@ _IMPORT_PROBE = textwrap.dedent("""
     sys.path.insert(0, sys.argv[1])
     import helfrich, helfrich.cli
     from helfrich import EnergyParams, FlowConfig, flow_run, icosphere, radius_scan
+    from helfrich.acceptance import run_all
+    from helfrich.classify import classify_case
     seen = {"import": "scipy.optimize" in sys.modules}
     for mode in ("energy_descent", "residual_descent"):
         flow_run(icosphere(1.0, 1), EnergyParams(0.0, 1.0, -1.0),
                  FlowConfig(mode=mode, max_iterations=3))
         seen[mode] = "scipy.optimize" in sys.modules
-    seen["roots"] = radius_scan(EnergyParams(0.0, 1.0, -1.0), 0.5, 4.0, 200).roots()
+    params = EnergyParams(0.0, 1.0, -1.0)
+    seen["roots"] = radius_scan(params, 0.5, 4.0, 200).roots()
+    seen["consistent"] = classify_case(
+        params, scan=radius_scan(params, 0.5, 4.0, 200)).consistent
+    seen["c3"] = run_all(only=["c3"])[0].passed
     seen["after_roots"] = "scipy.optimize" in sys.modules
     print(json.dumps(seen))
 """)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize loads only when a scan refines a root.  pytest's own
-    process has it loaded by other tests, so a fresh interpreter checks."""
+    """No path of the package loads scipy.optimize: not the import, the
+    flows, a scan's roots, a classification or c3.  pytest's own process
+    has it loaded by other tests, so a fresh interpreter checks."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src)],
                           capture_output=True, text=True, timeout=120, check=True)
@@ -57,7 +65,60 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert not seen["residual_descent"]
     assert len(seen["roots"]) == 1
     assert abs(seen["roots"][0] - 2.0) <= 1e-12
-    assert seen["after_roots"]
+    assert seen["consistent"]
+    assert seen["c3"]
+    assert not seen["after_roots"]
+
+
+def test_package_imports_only_the_scipy_modules_it_needs():
+    """Every scipy import in the package, at any depth of any module, is one
+    of scipy.sparse, scipy.linalg and scipy.sparse.csgraph."""
+    allowed = {"scipy.sparse", "scipy.linalg", "scipy.sparse.csgraph"}
+    pkg = Path(__file__).resolve().parents[1] / "src" / "helfrich"
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                names = [f"scipy.{a.name}" for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update(n for n in names if n.split(".")[0] == "scipy")
+    assert found
+    assert found <= allowed, sorted(found - allowed)
+
+
+def test_scan_roots_match_closed_form_to_two_ulps():
+    """Bisection on the residual's signs lands within 2 spacings of
+    -2*lam1/lam2 over seeded scans whose brackets and sizes vary."""
+    rng = np.random.default_rng(20240)
+    for _ in range(1000):
+        lam1, lam2 = 10.0 ** rng.uniform(-3, 2), -10.0 ** rng.uniform(-3, 2)
+        radius = -2.0 * lam1 / lam2
+        table = radius_scan(EnergyParams(0.0, lam1, lam2),
+                            radius * rng.uniform(0.05, 0.95),
+                            radius * rng.uniform(1.05, 20.0),
+                            int(rng.integers(2, 300)))
+        roots = table.roots()
+        assert len(roots) == 1
+        assert abs(roots[0] - radius) <= 2 * np.spacing(radius)
+
+
+@pytest.mark.parametrize("rho_min, rho_max, n", [(1.0, 3.0, 3), (0.5, 2.0, 4)],
+                         ids=["middle_sample", "end_sample"])
+def test_scan_root_on_a_sample(rho_min, rho_max, n):
+    """A sample whose residual is exactly 0 is a root, also at the scan's
+    end, and classification counts it."""
+    p = EnergyParams(0.0, 1.0, -1.0)
+    table = radius_scan(p, rho_min, rho_max, n)
+    assert table.min_abs_residual == 0.0
+    assert table.roots() == [2.0]
+    v = classify_case(p, scan=table)
+    assert v.consistent, v.discrepancies
+    assert v.evidence["scan_roots"] == [2.0]
 
 
 def test_scan_positive_lambda2_no_root():

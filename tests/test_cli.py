@@ -83,6 +83,15 @@ def test_classify_writes_verdict(tmp_path):
     assert payload["result"]["consistent"] is True
 
 
+def test_classify_counts_a_root_on_a_scan_sample(tmp_path):
+    assert run(["classify", "--l1", "1", "--l2", "-1", "--rmin", "1", "--rmax", "3",
+                "--n", "3", "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads((tmp_path / "classify_summary.json").read_text())
+    assert payload["result"]["evidence"]["scan_roots"] == [2.0]
+    assert payload["result"]["discrepancies"] == []
+    assert payload["result"]["consistent"] is True
+
+
 def test_residual_oracle(tmp_path):
     assert run(["residual", "--surface", "plane", "--l1", "1", "--l2", "0.5",
                 "--out", str(tmp_path)]) == EXIT_OK

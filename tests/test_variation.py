@@ -7,6 +7,7 @@ import helfrich as hf
 from helfrich.analytic import plane_patch, sphere
 from helfrich.energy import EnergyParams
 from helfrich.errors import UndefinedFunctionalError, UnsupportedError
+from helfrich.mesh import signed_volume
 from helfrich.variation import (
     FD_STEP_REL,
     area_gradient,
@@ -15,6 +16,7 @@ from helfrich.variation import (
     energy_gradient,
     gradient_check,
     mesh_energy,
+    random_smooth_fields,
     volume_gradient,
 )
 
@@ -162,6 +164,57 @@ def test_exact_gradients_match_fd():
     assert rep.volume_max_rel <= 1e-8
 
 
+def _sheared_sphere():
+    m = hf.icosphere(1.0, 3)
+    v = m.vertices * [1.0, 1.0, 0.15]
+    v[:, 0] += 0.7 * v[:, 1]
+    return hf.TriangleMesh(v, m.faces)
+
+
+def _three_fd_rows(mesh, params, n_fields, seed):
+    """Reference: gradient_check's rows from one finite difference per row,
+    with the area row differencing face_areas().sum() on its own meshes."""
+    diag = mesh.bbox_diagonal()
+    g_area, g_vol = area_gradient(mesh), volume_gradient(mesh)
+    g_full = energy_gradient(mesh, params)
+
+    def rel(analytic, fd):
+        return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12)
+
+    rows = []
+    for k, d in enumerate(random_smooth_fields(mesh, n_fields, seed=seed)):
+        fd_area = directional_derivative_fd(
+            mesh, params, d, 1e-4 * diag, energy_fn=lambda m: m.face_areas().sum())
+        fd_vol = directional_derivative_fd(mesh, params, d, 1e-2 * diag,
+                                           energy_fn=signed_volume)
+        fd_full = directional_derivative_fd(mesh, params, d, 1e-4 * diag)
+        rows.append({"field": k,
+                     "area_rel": rel(float((g_area * d).sum()), fd_area),
+                     "volume_rel": rel(float((g_vol * d).sum()), fd_vol),
+                     "full_rel": rel(float((g_full * d).sum()), fd_full)})
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hf.perturbed_sphere(1.0, 0.05, 3),
+    lambda: hf.perturbed_sphere(2.0, 0.2, 4),
+    _sheared_sphere,
+], ids=["perturbed_L3", "perturbed_L4", "sheared"])
+def test_gradient_check_area_row_from_energy_evaluations(make, monkeypatch):
+    """The area row reads the full energy's displaced meshes and is bitwise
+    the row of its own finite difference; no face_areas call is made."""
+    m = make()
+    params = EnergyParams(0.3, 1.0, -1.0)
+    ref = _three_fd_rows(m, params, 6, seed=5)
+    calls = []
+    face_areas = hf.TriangleMesh.face_areas
+    monkeypatch.setattr(hf.TriangleMesh, "face_areas",
+                        lambda self: calls.append(1) or face_areas(self))
+    rep = gradient_check(m, params, n_fields=6, seed=5)
+    assert not calls
+    assert rep.per_field == ref
+
+
 def test_full_gradient_discretization_limited():
     m = hf.perturbed_sphere(1.0, 0.05, 4)
     rep = gradient_check(m, EnergyParams(0.0, 1.0, -1.0), n_fields=10, seed=3)
@@ -181,7 +234,6 @@ def test_translation_invariance():
 def test_fd_and_assembled_gradients_agree_directionally():
     # smooth directions at a state with O(1) gradients; rough fields probe
     # only discretization noise and are exercised via gradient_check instead
-    from helfrich.variation import random_smooth_fields
     m = hf.perturbed_sphere(1.0, 0.05, 2)
     params = EnergyParams(0.0, 1.0, -1.0)
     g_fd = _fd_energy_gradient(m, params)
