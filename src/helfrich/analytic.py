@@ -519,7 +519,6 @@ def residual_values(lap_H, H, K, tracefree_sq, params):
 class VariationRow:
     functional: str
     formula: float
-    fd_plain: float          # central difference at step h
     fd_richardson: float     # Richardson-extrapolated from steps h, h/2
     rel_error: float         # |fd_richardson - formula| / max(|.|, floor)
     order_plain: float       # observed convergence order of the plain FD
@@ -595,7 +594,7 @@ def variation_check(surface, params, fld: AmbientField, h=1e-2) -> VariationRepo
 
         floor = max(abs(exact), abs(r2), VARIATION_REL_FLOOR)
         rows[name] = VariationRow(
-            functional=name, formula=exact, fd_plain=d1, fd_richardson=r2,
+            functional=name, formula=exact, fd_richardson=r2,
             rel_error=abs(r2 - exact) / floor,
             order_plain=order(d1 - exact, d2 - exact),
             order_richardson=order(r1 - exact, r2 - exact))

@@ -66,8 +66,7 @@ def _add(parser, name, type_, default, help_):
 
 
 COMMON = {"out": (str, ".", "output directory"),
-          "config": (str, None, "JSON config file; flags override"),
-          "seed": (int, 0, "random seed for stochastic checks")}
+          "config": (str, None, "JSON config file; flags override")}
 
 MESH_KEYS = {
     "kind": (str, "icosphere", "icosphere|catenoid|flat_patch|perturbed_sphere"),
@@ -104,10 +103,13 @@ SUBCOMMANDS = {
     "residual": {**COMMON, **MESH_KEYS, **PARAM_KEYS, **SURFACE_KEYS, **QUAD_KEYS,
                  "mesh": (str, None, "mesh file to load instead of a primitive")},
     "gradient-check": {**COMMON, **MESH_KEYS, **PARAM_KEYS,
+                       "seed": (int, 0, "random seed for stochastic checks"),
                        "n_fields": (int, 20, "number of random test fields")},
     "variation-check": {**COMMON, **PARAM_KEYS, **SURFACE_KEYS,
+                        "seed": (int, 0, "random seed for stochastic checks"),
                         "step": (float, 5e-3, "finite-difference step")},
     "identity-check": {**COMMON,
+                       "seed": (int, 0, "random seed for stochastic checks"),
                        "samples": (int, 1000, "random principal-curvature pairs")},
     "estimate-report": {**COMMON, **PARAM_KEYS, **SURFACE_KEYS,
                         "center_x": (float, 0.0, "cutoff center x"),

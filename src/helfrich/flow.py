@@ -69,13 +69,11 @@ serves both (LAPACK pbsv): the vertices are put in reverse Cuthill-McKee
 order once per flow (Cuthill & McKee 1969), which keeps the lower bandwidth
 at 82 for the metric and 164 for J^T J + mu D on the level-3 icosphere.
 Both are Gram products X^T diag(s) X on a fixed pattern, K on the 1-ring
-with s = 1/M and J on the 2-ring, so index arrays built once per flow
-(_BandIndex) sum each direction's product straight into band storage with
-one np.bincount.  The sums run in the order of the scipy sparse products
-they replace, which keeps the bands bitwise: J^T J over the rows ascending,
-K M^-1 K over the middle vertex descending, since scipy's csr_matmat emits
-each row of K M^-1 in reverse insertion order.  A matrix that is not
-numerically positive definite gives the steepest-descent step instead.
+with s = 1/M and J on the 2-ring, so each engine builds one band (_Band) on
+its pattern, once per flow, whose index arrays sum each direction's product
+straight into band storage with one np.bincount, over the pattern rows
+ascending.  A matrix that is not numerically positive definite gives the
+steepest-descent step instead.
 
 Both engines share one Armijo line search, parametrized by the largest
 vertex displacement and warm-started: its first trial moves no vertex
@@ -210,8 +208,6 @@ class FlowTrace:
     rows: list
     final_mesh: TriangleMesh
     wall_time: float
-    config: FlowConfig
-    params: EnergyParams
     message: str = ""
     meta: dict = dataclasses.field(default_factory=dict)   # run counters
 
@@ -295,40 +291,25 @@ def _jacobian_coloring(ring):
     return ring2.indptr, ring2.indices, np.array(colors)
 
 
-class _BandSolver:
-    """Band Cholesky solves of SPD matrices on one mesh's vertices, in the
-    reverse Cuthill-McKee order of its adjacency, computed once."""
-
-    def __init__(self, adjacency):
-        self.order = reverse_cuthill_mckee(adjacency, symmetric_mode=True)
-        self.rank = np.empty(len(self.order), dtype=np.intp)
-        self.rank[self.order] = np.arange(len(self.order))
-
-    def solve(self, band, rhs):
-        """x with matrix x = rhs, the matrix given by its ``_BandIndex.band``
-        and overwritten by its factor; raises LinAlgError unless the matrix
-        is numerically positive definite."""
-        return solveh_banded(band, rhs[self.order], overwrite_ab=True,
-                             overwrite_b=True, lower=True,
-                             check_finite=False)[self.rank]
-
-
-class _BandIndex:
+class _Band:
     """X^T diag(s) X for X on one fixed symmetric CSR pattern (indptr,
-    indices), summed straight into LAPACK lower band storage in the order
-    ``rank`` gives the vertices.
+    indices), summed straight into LAPACK lower band storage, and band
+    Cholesky solves, both in the reverse Cuthill-McKee order of ``ring``.
 
     For each pattern row r, the pairs (a, b) of its entries with
     rank(col a) >= rank(col b), and each pair's slot in the flat
     Fortran-order (width + 1, V) band.  A band is then one np.bincount of
-    the terms (x[a] s[r]) x[b], which adds each slot's terms in pair order:
-    the rows ascending, or descending if ``descending``.
+    the terms (x[a] s[r]) x[b], which adds each slot's terms in pair order,
+    the rows ascending.
     """
 
-    def __init__(self, indptr, indices, rank, descending=False):
+    def __init__(self, ring, indptr, indices):
         V = len(indptr) - 1
+        self.order = reverse_cuthill_mckee(ring, symmetric_mode=True)
+        self.rank = np.empty(V, dtype=np.intp)
+        self.rank[self.order] = np.arange(V)
         self.row = np.repeat(np.arange(V), np.diff(indptr))
-        col = rank[indices]
+        col = self.rank[indices]
         # Each row's entries by the rank of their column; position k of this
         # order pairs with positions k, k - 1, ... down to its row's start.
         by_rank = np.lexsort((col, self.row))
@@ -340,11 +321,8 @@ class _BandIndex:
         self.width = int(offset.max())
         self.shape = (self.width + 1, V)
         self.slot = offset + (self.width + 1) * col_b
-        if descending:
-            self.a, self.b, self.slot = (v[::-1].copy() for v in
-                                         (self.a, self.b, self.slot))
 
-    def band(self, x, s=None):
+    def gram(self, x, s=None):
         """The lower band of X^T diag(s) X, X given by its data on the
         pattern and s by default all ones; row 0 is the diagonal."""
         left = x if s is None else x * s[self.row]
@@ -353,6 +331,14 @@ class _BandIndex:
         # Fortran order, as LAPACK reads it: the factor overwrites the band
         # in place instead of a copy.
         return flat.reshape(self.shape, order="F")
+
+    def solve(self, band, rhs):
+        """x with matrix x = rhs, the matrix given by its ``gram`` band and
+        overwritten by its factor; raises LinAlgError unless the matrix is
+        numerically positive definite."""
+        return solveh_banded(band, rhs[self.order], overwrite_ab=True,
+                             overwrite_b=True, lower=True,
+                             check_finite=False)[self.rank]
 
 
 class _PhaseClock:
@@ -372,9 +358,8 @@ class _PhaseClock:
 
 class _Engine:
     """What both descent engines share: the 1-ring (``one_ring``, and
-    ``ring``, its CSR pattern of ones), the band solver, ordered once for the
-    flow's mesh, and the step through it.  Each engine builds the band index
-    of its own system, ``index``."""
+    ``ring``, its CSR pattern of ones) and the step through a band solve.
+    Each engine builds the one band of its own system, ``band``."""
 
     # The kept derivatives come from an earlier iterate than the current
     # one; only residual descent keeps any.
@@ -386,15 +371,14 @@ class _Engine:
         self.clock = _PhaseClock()
         self.one_ring = _OneRing(mesh)
         self.ring = self.one_ring.matrix(np.ones(len(self.one_ring.indices)))
-        self.solver = _BandSolver(self.ring)
 
-    def step(self, band, rhs, g, normals):
+    def step(self, matrix, rhs, g, normals):
         """Normal step c nu with matrix c = rhs, the matrix given by its
-        ``_BandIndex.band``, and its slope -g.c; plain steepest descent,
+        ``_Band.gram`` band, and its slope -g.c; plain steepest descent,
         c = -g, when the matrix is not numerically positive definite or the
         slope is not positive."""
         try:
-            coeff = self.solver.solve(band, rhs)
+            coeff = self.band.solve(matrix, rhs)
         except LinAlgError:
             coeff = -g
         slope = -float(g @ coeff)
@@ -407,7 +391,7 @@ class _Engine:
 
     def counters(self):
         return {"residual_evaluations": self.evaluations,
-                "solve_bandwidth": self.index.width}
+                "solve_bandwidth": self.band.width}
 
 
 class _ResidualEngine(_Engine):
@@ -418,9 +402,8 @@ class _ResidualEngine(_Engine):
         self.mu = 1e-3
         self.indptr, self.indices, self.colors = _jacobian_coloring(self.ring)
         self.n_colors = int(self.colors.max()) + 1
-        self.index = _BandIndex(self.indptr, self.indices, self.solver.rank)
-        # Row of each stored entry of J, and the color of its column.
-        self.entry_row = self.index.row
+        self.band = _Band(self.ring, self.indptr, self.indices)
+        # The color of each stored entry's column of J (``band.row``: its row).
         self.entry_color = self.colors[self.indices]
         # (J, band of J^T J) of the kept Jacobian; row 0 of the band is D in
         # RCM order.
@@ -468,7 +451,7 @@ class _ResidualEngine(_Engine):
                 rho[start + k] = self._rho(bundle, slice(k * V, (k + 1) * V))
             del bundle      # free its edge weights before the next block's pass
         diff = (rho[0::2] - rho[1::2]) / (2.0 * h)
-        return diff[self.entry_color, self.entry_row]
+        return diff[self.entry_color, self.band.row]
 
     def direction(self, mesh, bundle):
         """Damped Gauss-Newton: (J^T J + mu D) c = -J^T rho, D the diagonal
@@ -482,15 +465,15 @@ class _ResidualEngine(_Engine):
                 J = self.jacobian(mesh, bundle.normal)
         with self.clock("solve_s"):
             if fresh:
-                self.normal_equations = (J, self.index.band(J))
+                self.normal_equations = (J, self.band.gram(J))
                 self.jacobian_builds += 1
             J, JtJ = self.normal_equations
-            Jt_rho = np.bincount(self.indices, J * rho0[self.entry_row],
+            Jt_rho = np.bincount(self.indices, J * rho0[self.band.row],
                                  len(rho0))
             g = 2.0 * Jt_rho
-            band = JtJ.copy(order="F")
-            band[0] += self.mu * np.maximum(band[0], 1e-30)
-            direction, slope = self.step(band, -Jt_rho, g, bundle.normal)
+            matrix = JtJ.copy(order="F")
+            matrix[0] += self.mu * np.maximum(matrix[0], 1e-30)
+            direction, slope = self.step(matrix, -Jt_rho, g, bundle.normal)
             return direction, slope, float(np.linalg.norm(g))
 
     def feedback(self, backtracks, obj, trial_obj):
@@ -518,8 +501,7 @@ class _EnergyEngine(_Engine):
     def __init__(self, params, mesh):
         super().__init__(params, mesh)
         # K's pattern is the 1-ring: its data is X, 1/M is s.
-        self.index = _BandIndex(self.ring.indptr, self.ring.indices,
-                                self.solver.rank, descending=True)
+        self.band = _Band(self.ring, self.ring.indptr, self.ring.indices)
 
     def objective(self, mesh):
         bundle = curvature_bundle(mesh)
@@ -535,9 +517,9 @@ class _EnergyEngine(_Engine):
         with self.clock("solve_s"):
             M = bundle.vertex_area
             sigma = SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
-            metric = self.index.band(self.one_ring.stiffness(bundle.edge_weight), 1.0 / M)
+            metric = self.band.gram(self.one_ring.stiffness(bundle.edge_weight), 1.0 / M)
             metric *= sigma
-            metric[0] += M[self.solver.order]
+            metric[0] += M[self.band.order]
             direction, slope = self.step(metric, -g, g, bundle.normal)
             return (direction, slope,
                     float(np.linalg.norm(g[:, None] * bundle.normal)))
@@ -672,7 +654,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     meta.update(clock.seconds)
     return FlowTrace(verdict=verdict, iterations=it, rows=rows,
                      final_mesh=mesh, wall_time=time.perf_counter() - t0,
-                     config=config, params=params, message=message, meta=meta)
+                     message=message, meta=meta)
 
 
 def best_fit_sphere(source):

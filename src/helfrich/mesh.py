@@ -9,6 +9,7 @@ signs downstream are taken against the inward normal.
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 from dataclasses import dataclass
 
@@ -87,7 +88,6 @@ class MeshDiagnostics:
     oriented: bool
     n_degenerate_faces: int
     n_unreferenced_vertices: int
-    min_face_area: float
     messages: list
 
     @property
@@ -102,8 +102,9 @@ class TriangleMesh:
     Half-edge ``h`` belongs to face ``h // 3``; ``origin[h]`` is its source
     vertex, ``next[h]`` the following half-edge in the same face, ``twin[h]``
     the opposite half-edge or -1 on the boundary.  ``origin`` and ``twin``
-    are stored; the face and ``next[h]`` are arithmetic on ``h`` and are
-    computed when read (``he_face``, ``he_next``).
+    are stored; the face, ``next[h]``, the destination and the boundary flag
+    are computed when read (``he_face``, ``he_next``, ``he_dest``,
+    ``is_boundary_halfedge``).
     """
 
     def __init__(self, vertices, faces, source: PrimitiveSpec | None = None):
@@ -128,7 +129,7 @@ class TriangleMesh:
         V = len(self.vertices)
         H = 3 * len(self.faces)
         self.he_origin = self.faces.reshape(-1)                      # (3F,)
-        he_dest = self.faces[:, [1, 2, 0]].reshape(-1)               # origin[next[h]]
+        he_dest = self.he_dest
 
         # One sort of the half-edges by undirected edge (lo, hi), with the
         # direction (origin > dest) in the low bit.  Equal keys are duplicated
@@ -164,13 +165,12 @@ class TriangleMesh:
         twin[loop] = loop
         self.he_twin = twin
 
-        self.is_boundary_halfedge = self.he_twin < 0
+        boundary = twin < 0
         self.boundary_vertex = np.zeros(V, dtype=bool)
-        self.boundary_vertex[self.he_origin[self.is_boundary_halfedge]] = True
-        self.boundary_vertex[he_dest[self.is_boundary_halfedge]] = True
-        self._he_dest = he_dest
+        self.boundary_vertex[self.he_origin[boundary]] = True
+        self.boundary_vertex[he_dest[boundary]] = True
 
-        n_bdry = int(self.is_boundary_halfedge.sum())
+        n_bdry = int(boundary.sum())
         any_dup = bool(rep.any())
         # With duplicates, count the groups of equal undirected keys.
         self.n_edges = (H + n_bdry) // 2 if not any_dup else int(
@@ -187,6 +187,17 @@ class TriangleMesh:
         """Next half-edge in the same face; computed, not stored."""
         h = np.arange(3 * self.n_faces, dtype=np.int64).reshape(-1, 3)
         return h[:, [1, 2, 0]].reshape(-1)
+
+    @property
+    def he_dest(self):
+        """Destination vertex of each half-edge, ``origin[next[h]]``;
+        computed, not stored."""
+        return self.faces[:, [1, 2, 0]].reshape(-1)
+
+    @property
+    def is_boundary_halfedge(self):
+        """True for a half-edge without a twin; computed, not stored."""
+        return self.he_twin < 0
 
     def with_positions(self, vertices):
         """New mesh sharing this connectivity with replaced positions."""
@@ -233,6 +244,7 @@ class TriangleMesh:
     def boundary_loops(self):
         """Number of boundary loops (cycles of boundary half-edges)."""
         bdry = np.nonzero(self.is_boundary_halfedge)[0]
+        dest = self.he_dest
         # Unique for manifold meshes; first-wins otherwise.
         start_of = dict(zip(self.he_origin[bdry][::-1].tolist(), bdry[::-1].tolist()))
         seen = set()
@@ -244,7 +256,7 @@ class TriangleMesh:
             h = h0
             while True:
                 seen.add(h)
-                nxt = start_of.get(int(self._he_dest[h]))
+                nxt = start_of.get(int(dest[h]))
                 if nxt is None or nxt in seen:
                     break
                 h = nxt
@@ -298,8 +310,7 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
     if len(unreferenced):
         messages.append(f"unreferenced vertices: {unreferenced[:10].tolist()}")
 
-    areas = mesh.face_areas()
-    degenerate = _degenerate_faces(mesh, areas)
+    degenerate = _degenerate_faces(mesh, mesh.face_areas())
     if len(degenerate):
         messages.append(f"degenerate faces: {degenerate[:10].tolist()}")
 
@@ -314,7 +325,6 @@ def validate(mesh: TriangleMesh) -> MeshDiagnostics:
         oriented=oriented,
         n_degenerate_faces=len(degenerate),
         n_unreferenced_vertices=len(unreferenced),
-        min_face_area=float(areas.min()) if len(areas) else 0.0,
         messages=messages,
     )
 
@@ -363,7 +373,7 @@ def _unit_icosphere(level):
     for _ in range(level):
         mesh = TriangleMesh(v, f)
         edge_he, f = _split_faces(mesh)
-        mid = 0.5 * (v[mesh.he_origin[edge_he]] + v[mesh._he_dest[edge_he]])
+        mid = 0.5 * (v[mesh.he_origin[edge_he]] + v[mesh.he_dest[edge_he]])
         v = np.vstack([v, mid])
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v, f
@@ -469,8 +479,9 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
 
     V = mesh.n_vertices
     edge_he, new_faces = _split_faces(mesh)
+    dest = mesh.he_dest
     a = mesh.he_origin[edge_he]
-    b = mesh._he_dest[edge_he]
+    b = dest[edge_he]
     he_prev = (edge_he // 3) * 3 + (edge_he % 3 + 2) % 3
     c = mesh.he_origin[he_prev]                       # apex of own face
     tw = mesh.he_twin[edge_he]
@@ -483,7 +494,7 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     valence = np.bincount(mesh.he_origin, minlength=V).astype(np.float64)
     beta = (5.0 / 8.0 - (3.0 / 8.0 + 0.25 * np.cos(2 * np.pi / valence)) ** 2) / valence
     # Each vertex's neighbours summed in half-edge order, as np.add.at does.
-    nbr_sum = np.stack([np.bincount(mesh.he_origin, c.take(mesh._he_dest), V)
+    nbr_sum = np.stack([np.bincount(mesh.he_origin, c.take(dest), V)
                         for c in np.ascontiguousarray(mesh.vertices.T)], axis=1)
     even_pts = (1.0 - valence * beta)[:, None] * mesh.vertices + beta[:, None] * nbr_sum
 
@@ -504,18 +515,17 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
 def save_mesh(mesh: TriangleMesh, path):
     """Write OBJ or OFF (by extension) with 17-significant-digit positions."""
     path = str(path)
+    fmt = _format(path)
     V, F = mesh.n_vertices, mesh.n_faces
     coords = tuple(mesh.vertices.ravel().tolist())
-    if path.lower().endswith(".obj"):
+    if fmt == "obj":
         text = (("v %.17g %.17g %.17g\n" * V) % coords
                 + ("f %d %d %d\n" * F) % tuple((mesh.faces + 1).ravel().tolist()))
         text = text or "\n"       # an empty mesh is one empty line
-    elif path.lower().endswith(".off"):
+    else:
         text = (f"OFF\n{V} {F} {mesh.n_edges}\n"
                 + ("%.17g %.17g %.17g\n" * V) % coords
                 + ("3 %d %d %d\n" * F) % tuple(mesh.faces.ravel().tolist()))
-    else:
-        raise MeshInputError(f"unsupported mesh extension for {path!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -525,10 +535,7 @@ def load_mesh(path) -> TriangleMesh:
     faces of zero area."""
     path = str(path)
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        fmt = _FORMATS.get(path.lower().rpartition(".")[2])
-        if fmt is None:
-            raise MeshInputError(f"unsupported mesh extension for {path!r}")
-        select, base, count_ok, count_message = fmt
+        select, base, count_ok, count_message = _FORMATS[_format(path)]
         # Neither the text nor its line list outlives the record selection,
         # so neither is held through the conversion.
         vert_rows, face_rows = select(fh.read().splitlines())
@@ -552,6 +559,15 @@ def load_mesh(path) -> TriangleMesh:
         f = int(_degenerate_faces(mesh, mesh.face_areas())[0])
         raise MeshInputError(f"face {f} (0-based) has zero area", line=face_rows[0][f])
     return mesh
+
+
+def _format(path):
+    """The key in _FORMATS of the file name's suffix after its last dot,
+    case-insensitive; a name without a dot has no format."""
+    _, dot, ext = os.path.basename(path).lower().rpartition(".")
+    if not dot or ext not in _FORMATS:
+        raise MeshInputError(f"unsupported mesh extension for {path!r}")
+    return ext
 
 
 def _obj_records(lines):

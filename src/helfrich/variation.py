@@ -62,7 +62,7 @@ def _stencil_interior(mesh, interior):
         return interior.copy()
     bad = ~interior
     # A vertex is next to a bad one when its count of bad neighbours is > 0.
-    nbr_bad = np.bincount(mesh.he_origin, bad[mesh._he_dest], mesh.n_vertices) > 0
+    nbr_bad = np.bincount(mesh.he_origin, bad[mesh.he_dest], mesh.n_vertices) > 0
     return interior & ~nbr_bad
 
 

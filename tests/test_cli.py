@@ -253,6 +253,19 @@ def test_bad_numeric_input_exits_2_with_one_error_line(tmp_path, capsys, argv, m
     assert len(errors) == 1 and message in errors[0]
 
 
+def test_seed_only_where_it_is_read(tmp_path, capsys):
+    seeded = {name for name, keys in SUBCOMMANDS.items() if "seed" in keys}
+    assert seeded == {"gradient-check", "variation-check", "identity-check"}
+    assert run(["flow", "--kind", "icosphere", "--level", "1", "--seed", "1",
+                "--out", str(tmp_path)]) == EXIT_BADINPUT
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unrecognized arguments: --seed 1" in errors[0]
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    assert run(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_BADINPUT
+    assert "unknown keys ['seed']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["variation-check", "estimate-report"])
 def test_quadrature_flags_only_where_they_act(tmp_path, capsys, command):
     for flag in ("--quad-u", "--quad-v"):
@@ -345,6 +358,18 @@ def test_residual_without_interior_vertex(tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == EXIT_BADINPUT
     assert "no interior vertex" in capsys.readouterr().err
+
+
+def test_extensionless_mesh_exits_2(tmp_path, monkeypatch, capsys):
+    """An OBJ file named ``obj`` has no extension, so no format."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["mesh-make", "--kind", "icosphere", "--level", "1",
+                "--mesh-out", "ball.obj"]) == EXIT_OK
+    (tmp_path / "ball.obj").rename(tmp_path / "obj")
+    capsys.readouterr()
+    assert run(["residual", "--mesh", "obj"]) == EXIT_BADINPUT
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: unsupported mesh extension for 'obj'"]
 
 
 def test_overflowing_face_index_exits_2(tmp_path, capsys):

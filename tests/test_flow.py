@@ -427,19 +427,23 @@ def _sobolev_metric(mesh):
     op = cotan_operator(mesh)
     K, M = op.stiffness, op.mass
     sigma = flow.SOBOLEV_SIGMA0 * (M.sum() / (4.0 * np.pi)) ** 2
-    return sp.diags(M) + sigma * (K @ sp.diags(1.0 / M) @ K)
+    # Sorted, each row of K M^-1 K sums over the middle vertex ascending.
+    KM = K @ sp.diags(1.0 / M)
+    KM.sort_indices()
+    return sp.diags(M) + sigma * (KM @ K)
 
 
-def _scatter_band(solver, matrix):
+def _scatter_band(band, matrix):
     """Reference band: the lower band of a symmetric sparse matrix in the
-    solver's order, scattered entry by entry from its COO form."""
+    order of ``band`` (a flow._Band), scattered entry by entry from its COO
+    form."""
     coo = matrix.tocoo()
-    row, col = solver.rank[coo.row], solver.rank[coo.col]
+    row, col = band.rank[coo.row], band.rank[coo.col]
     lower = row >= col
     offset, col = row[lower] - col[lower], col[lower]
-    band = np.zeros((offset.max() + 1, len(solver.order)), order="F")
-    band[offset, col] = coo.data[lower]
-    return band
+    out = np.zeros((offset.max() + 1, len(band.order)), order="F")
+    out[offset, col] = coo.data[lower]
+    return out
 
 
 def _sheared_sphere():
@@ -462,7 +466,7 @@ def _sheared_sphere():
 def test_band_assembly_matches_sparse_products_bitwise(monkeypatch, system, make):
     """The band a direction factors is bitwise the COO scatter of the scipy
     products: M + sigma K diag(1/M) K for energy descent, J^T J + mu D for
-    residual descent, summed in the order csr_matmat sums them."""
+    residual descent, each entry summed over the middle index ascending."""
     mesh = make()
     bundle = curvature_bundle(mesh)
     assert (bundle.obtuse_faces > 0) == (make is _sheared_sphere)
@@ -479,9 +483,9 @@ def test_band_assembly_matches_sparse_products_bitwise(monkeypatch, system, make
         J = _sparse_jacobian(engine, engine.normal_equations[0])
         JtJ = J.T @ J
         matrix = JtJ + sp.diags(engine.mu * np.maximum(JtJ.diagonal(), 1e-30))
-    reference = _scatter_band(engine.solver, matrix)
+    reference = _scatter_band(engine.band, matrix)
     assert len(bands) == 1 and bands[0].flags.f_contiguous
-    assert bands[0].shape == reference.shape == (engine.index.width + 1, mesh.n_vertices)
+    assert bands[0].shape == reference.shape == (engine.band.width + 1, mesh.n_vertices)
     assert np.array_equal(bands[0], reference)
 
 
@@ -506,22 +510,22 @@ def test_band_solve_matches_sparse_lu(system, level):
         matrix = JtJ + sp.diags(engine.mu * JtJ.diagonal())
         rhs = -(J.T @ flow._weighted_residual(curvature_bundle(mesh), CRITICAL))
         rings = 4
-    adjacency, solver = engine.ring, engine.solver
-    x = solver.solve(_scatter_band(solver, matrix), rhs)
+    adjacency, band = engine.ring, engine.band
+    x = band.solve(_scatter_band(band, matrix), rhs)
     reference = splu(matrix.tocsc()).solve(rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
     edges = adjacency.tocoo()
-    adjacency_width = np.abs(solver.rank[edges.row] - solver.rank[edges.col]).max()
-    assert 0 < engine.index.width <= rings * adjacency_width < mesh.n_vertices
+    adjacency_width = np.abs(band.rank[edges.row] - band.rank[edges.col]).max()
+    assert 0 < band.width <= rings * adjacency_width < mesh.n_vertices
 
 
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_flow_orders_once_and_reports_its_bandwidth(monkeypatch, mode):
-    """One reverse Cuthill-McKee ordering and one band index per flow, one
+    """One reverse Cuthill-McKee ordering and one band object per flow, one
     band factorization per direction, and the widest band in meta."""
-    orders, indexes, widths = [], [], []
+    orders, bands, widths = [], [], []
     real_order, real_band = flow.reverse_cuthill_mckee, flow.solveh_banded
-    real_index = flow._BandIndex
+    real_band_class = flow._Band
 
     def band(ab, b, **kwargs):
         widths.append(len(ab) - 1)
@@ -531,11 +535,11 @@ def test_flow_orders_once_and_reports_its_bandwidth(monkeypatch, mode):
                         lambda *args, **kwargs: orders.append(1) or
                         real_order(*args, **kwargs))
     monkeypatch.setattr(flow, "solveh_banded", band)
-    monkeypatch.setattr(flow, "_BandIndex", lambda *args, **kwargs:
-                        indexes.append(1) or real_index(*args, **kwargs))
+    monkeypatch.setattr(flow, "_Band", lambda *args, **kwargs:
+                        bands.append(1) or real_band_class(*args, **kwargs))
     cfg = FlowConfig(mode=mode, max_iterations=6, log_every=2)
     tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 2), CRITICAL, cfg)
-    assert len(orders) == len(indexes) == 1
+    assert len(orders) == len(bands) == 1
     assert len(widths) == tr.iterations + (tr.verdict != "max_iters")
     assert tr.meta["solve_bandwidth"] == max(widths) > 0
 

@@ -160,7 +160,7 @@ def test_refine_even_vertices_sum_neighbours_like_add_at_bitwise(level):
     m = hf.perturbed_sphere(1.0, 0.1, level)        # not reprojected
     V = m.n_vertices
     nbr_sum = np.zeros((V, 3))
-    np.add.at(nbr_sum, m.he_origin, m.vertices[m._he_dest])
+    np.add.at(nbr_sum, m.he_origin, m.vertices[m.he_dest])
     valence = np.bincount(m.he_origin, minlength=V).astype(np.float64)
     beta = (5.0 / 8.0 - (3.0 / 8.0 + 0.25 * np.cos(2 * np.pi / valence)) ** 2) / valence
     even = (1.0 - valence * beta)[:, None] * m.vertices + beta[:, None] * nbr_sum
@@ -371,6 +371,19 @@ def test_empty_file_parse_error(tmp_path):
         hf.load_mesh(path2)
 
 
+@pytest.mark.parametrize("name", ["obj", "off", "mesh.obj.txt"])
+def test_load_and_save_take_the_format_from_the_suffix(tmp_path, monkeypatch, name):
+    """A file name without a dot, or with another suffix after its last dot,
+    has no format, so load and save both reject it; ``obj`` and ``off`` as
+    bare relative names too."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(MeshInputError, match="unsupported mesh extension"):
+        hf.load_mesh(name)
+    with pytest.raises(MeshInputError, match="unsupported mesh extension"):
+        hf.save_mesh(hf.icosphere(1.0, 0), name)
+
+
 def test_load_rejects_nonmanifold(tmp_path):
     # two triangles sharing an edge with identical winding: duplicated
     # directed edge
@@ -465,10 +478,11 @@ def _stored_bytes(m):
 def test_mesh_stores_no_arithmetic_halfedge_arrays():
     m = hf.icosphere(1.0, 4)
     V, H = m.n_vertices, 3 * m.n_faces
-    # positions; faces (origin is a view of them), twin and dest, int64 per
-    # half-edge; the duplicate and boundary flags per half-edge and the
-    # boundary flag per vertex.  Face and next are arithmetic on h.
-    assert _stored_bytes(m) <= 24 * V + 3 * 8 * H + 2 * H + V
+    # positions; faces (origin is a view of them) and twin, int64 per
+    # half-edge; the duplicate flag per half-edge and the boundary flag per
+    # vertex.  Face, next, dest and the boundary flag per half-edge are
+    # computed from faces and twin.
+    assert _stored_bytes(m) <= 24 * V + 2 * 8 * H + H + V
     h = np.arange(H)
     assert np.array_equal(m.he_face, h // 3)
     assert np.array_equal(m.he_next, h // 3 * 3 + (h + 1) % 3)

@@ -132,7 +132,7 @@ def test_stencil_interior_matches_logical_or_at(make):
     m = make()
     interior = curvature_bundle(m).interior
     nbr_bad = np.zeros(m.n_vertices, dtype=bool)
-    np.logical_or.at(nbr_bad, m.he_origin, ~interior[m._he_dest])
+    np.logical_or.at(nbr_bad, m.he_origin, ~interior[m.he_dest])
     mask = _stencil_interior(m, interior)
     assert np.array_equal(mask, interior & ~nbr_bad)
     assert mask.any() and (mask != interior).any()
