@@ -33,17 +33,24 @@ is sparse and is built compressed (Curtis, Powell & Reid 1974; Coleman &
 More 1983): vertices more than 4 edges apart never touch the same residual
 entry, so a greedy distance-4 coloring, computed once per flow since
 connectivity never changes, lets every vertex of one color move in the same
-pair of residual evaluations.  A Jacobian build costs 2 x colors evaluations
-(34 colors on the level-2 icosphere, 39 from level 3 on) instead of 2V.  The
-2 x colors perturbed meshes share the connectivity, so they go through the
-curvature pass in blocks of about JACOBIAN_BLOCK_FACES faces (12 meshes at
-level 2, 3 at level 3): each block is one mesh of disjoint copies of the
+residual evaluation.  J takes forward differences from the rho the direction
+evaluates anyway, (rho(x + h nu_color) - rho(x)) / h, so a build costs one
+evaluation per color (34 colors on the level-2 icosphere, 39 from level 3
+on) instead of V.  The step h is JACOBIAN_STEP_REL times the bounding-box
+diagonal, near sqrt(eps), where the O(h) truncation and the O(eps / h)
+rounding of a forward difference balance (Gill, Murray & Wright, Practical
+Optimization, 1981, sec. 8.6).  At the gradient checks' FD_STEP_REL (1e-5)
+forward differences failed: the level-4 flow ended at a fit_rms of 1.2e-4
+instead of 3.8e-7.  Central differences at that step cost two evaluations
+per color.  The perturbed meshes share the connectivity, so they go through
+the curvature pass in blocks of about JACOBIAN_BLOCK_FACES faces (12 meshes
+at level 2, 3 at level 3): each block is one mesh of disjoint copies of the
 flow's connectivity, built once per flow (_block_mesh), whose vertex bins
 are those of the copies in turn, so each copy's bundle is bitwise the one
 its mesh gives on its own.  On meshes that small the cost of one pass is
 mostly per-call overhead, and one block is far cheaper than its meshes one
-by one.  One block of all 68 level-2 meshes was no faster and raised the
-flow's peak memory by about 7 MB.
+by one.  Under central differences, one block of all 68 level-2 meshes was
+no faster and raised the flow's peak memory by about 7 MB.
 
 Not every step builds a Jacobian: the engine keeps the last J, with the
 band of J^T J, while it keeps working, as in chord (Shamanskii)
@@ -53,9 +60,15 @@ and lowered the objective to at most REUSE_CONTRACTION times its value, and
 rebuilt otherwise; a direction on a kept J evaluates only rho and mu D.  A
 stale J, one built at an earlier iterate, never decides how a run ends: a
 gradient that meets grad_tol is taken again with a fresh J before the run
-ends converged, a line search that fails rebuilds J at the same iterate
-and searches again before the run ends stalled, and a step on a kept J
-never meets the ftol test below.  With the factor at 0.25 the level-3 flow
+ends converged; a line search on a kept J stops at a rejected first trial,
+and J is rebuilt at the same iterate before the search runs again; and a
+step on a kept J never meets the ftol test below.  A backtracking step on a
+kept J would also cap the first trials after it: on the level-1 flow from
+initial_step 0.05, one such step, accepted after 31 backtracks, left the run
+ending ftol at an objective of 1.3e-8 instead of grad_tol at 4.4e-19.
+Stopping at the first rejected trial also spares the halving such a search
+spent before J was rebuilt: the level-1 flow from initial_step 0.1 takes 10
+objective evaluations instead of 41.  With the factor at 0.25 the level-3 flow
 built 8 Jacobians in 15 iterations, run to grad_tol, instead of 15 in 14;
 keeping J after every step without a backtrack took it 39 iterations, and a
 factor of 0.5 took 33.  Under the ftol test it builds 7 in 15 iterations,
@@ -133,7 +146,7 @@ from .energy import EnergyParams, _mesh_energies
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
 from .mesh import TriangleMesh, validate
 from .output import write_csv, write_json
-from .variation import FD_STEP_REL, _gradient_coefficient, _mesh_residual
+from .variation import _gradient_coefficient, _mesh_residual
 
 MODES = ("energy_descent", "residual_descent")
 # converged: gradient norm at or below grad_tol; stalled: no acceptable step
@@ -149,6 +162,7 @@ FTOL = 2.2e-9                # least relative fall of the objective ...
 FTOL_WINDOW = 3              # ... over this many accepted steps
 SOBOLEV_SIGMA0 = 0.006       # H^2 weight sigma / (area / 4 pi)^2
 JACOBIAN_BLOCK_FACES = 4096  # meshes x faces of one Jacobian block pass
+JACOBIAN_STEP_REL = 1e-8     # Jacobian difference step / bounding-box diagonal
 REUSE_CONTRACTION = 0.25     # keep J after a step to <= this x the objective
 PHASES = ("jacobian_s", "solve_s", "line_search_s", "record_s")
 
@@ -409,12 +423,11 @@ class _ResidualEngine(_Engine):
         # RCM order.
         self.normal_equations = None
         self.jacobian_builds = 0
-        # The 2 x colors perturbed meshes in even blocks of at most
+        # The perturbed meshes, one per color, in even blocks of at most
         # JACOBIAN_BLOCK_FACES faces; a last block that is not full is
         # filled up with unperturbed copies, so one block mesh serves all.
-        n_rows = 2 * self.n_colors
-        n_blocks = -(-n_rows // max(1, JACOBIAN_BLOCK_FACES // mesh.n_faces))
-        self.block = _block_mesh(mesh, -(-n_rows // n_blocks))
+        n_blocks = -(-self.n_colors // max(1, JACOBIAN_BLOCK_FACES // mesh.n_faces))
+        self.block = _block_mesh(mesh, -(-self.n_colors // n_blocks))
 
     def _rho(self, bundle, row=...):
         self.evaluations += 1
@@ -424,25 +437,23 @@ class _ResidualEngine(_Engine):
         self.evaluations += 1
         return _residual_objective(mesh, self.params)
 
-    def jacobian(self, mesh, normals):
-        """Central differences of the weighted residual along the vertex
-        normals, every vertex of one color perturbed in the same pair of
-        evaluations; J's data on its 2-ring CSR pattern (indptr, indices).
+    def jacobian(self, mesh, normals, rho0):
+        """Forward differences of the weighted residual along the vertex
+        normals, every vertex of one color perturbed in the same evaluation,
+        from rho0, the weighted residual at ``mesh``; J's data on its 2-ring
+        CSR pattern (indptr, indices).
 
-        The perturbed positions are rows (plus_0, minus_0, plus_1, ...) of
-        one stack, which goes through the face pass one block mesh at a
-        time.
+        The perturbed positions are the rows, one per color, of one stack,
+        which goes through the face pass one block mesh at a time.
         """
-        h = FD_STEP_REL * mesh.bbox_diagonal()
+        h = JACOBIAN_STEP_REL * mesh.bbox_diagonal()
         V = mesh.n_vertices
-        n_rows = 2 * self.n_colors
+        n_rows = self.n_colors
         rows = self.block.n_vertices // V
-        base, step = mesh.vertices, h * normals
+        base = mesh.vertices
         stack = np.empty((-(-n_rows // rows) * rows, V, 3))
         stack[:] = base
-        vertex = np.arange(V)
-        stack[2 * self.colors, vertex] = base + step
-        stack[2 * self.colors + 1, vertex] = base - step
+        stack[self.colors, np.arange(V)] = base + h * normals
         rho = np.empty((n_rows, V))
         for start in range(0, n_rows, rows):
             bundle = curvature_bundle(self.block.with_positions(
@@ -450,7 +461,7 @@ class _ResidualEngine(_Engine):
             for k in range(min(rows, n_rows - start)):
                 rho[start + k] = self._rho(bundle, slice(k * V, (k + 1) * V))
             del bundle      # free its edge weights before the next block's pass
-        diff = (rho[0::2] - rho[1::2]) / (2.0 * h)
+        diff = (rho - rho0) / h
         return diff[self.entry_color, self.band.row]
 
     def direction(self, mesh, bundle):
@@ -462,7 +473,7 @@ class _ResidualEngine(_Engine):
         with self.clock("jacobian_s"):
             rho0 = self._rho(bundle)
             if fresh:
-                J = self.jacobian(mesh, bundle.normal)
+                J = self.jacobian(mesh, bundle.normal, rho0)
         with self.clock("solve_s"):
             if fresh:
                 self.normal_equations = (J, self.band.gram(J))
@@ -546,6 +557,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     if not validate(mesh).ok:
         raise UnsupportedError("flow_run needs a validated mesh")
 
+    t_setup = time.perf_counter()
     engine = (_ResidualEngine if config.mode == "residual_descent"
               else _EnergyEngine)(params, mesh)
 
@@ -613,6 +625,8 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
                         trial_obj <= obj - SUFFICIENT_DECREASE * s * slope:
                     accepted = True
                     break
+                if stale_step:      # a kept J's step passes its first trial or is dropped
+                    break
                 s *= BACKTRACK_FACTOR
                 backtracks += 1
         if verdict == "degenerate_mesh":
@@ -652,6 +666,7 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
     meta["objective_evaluations"] = evaluations
     meta["stop_reason"] = stop_reason
     meta.update(clock.seconds)
+    meta["setup_s"] = t0 - t_setup      # engine set-up, outside wall_time
     return FlowTrace(verdict=verdict, iterations=it, rows=rows,
                      final_mesh=mesh, wall_time=time.perf_counter() - t0,
                      message=message, meta=meta)

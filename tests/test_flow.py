@@ -1,6 +1,7 @@
 """Descent engines and sphere-fit diagnostics."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from helfrich.curvature import cotan_operator, curvature_bundle
 from helfrich.energy import EnergyParams
 from helfrich.errors import FitError, OperatorError, UnsupportedError
 from helfrich.flow import FlowConfig, best_fit_sphere, flow_run
-from helfrich.variation import FD_STEP_REL, energy_gradient, mesh_energy, residual_values
+from helfrich.variation import energy_gradient, mesh_energy, residual_values
 
 CRITICAL = EnergyParams(0.0, 1.0, -1.0)     # critical sphere radius 2
 
@@ -185,25 +186,30 @@ def test_degenerate_trial_step_ends_run(monkeypatch):
 
 
 def _dense_fd_jacobian(mesh, params):
-    """Reference: the weighted-residual Jacobian one column at a time, two
-    residual evaluations per vertex."""
+    """Reference: the weighted-residual Jacobian one column at a time by
+    forward differences, one residual evaluation per vertex."""
     normals = curvature_bundle(mesh).normal
-    h = FD_STEP_REL * mesh.bbox_diagonal()
+    h = flow.JACOBIAN_STEP_REL * mesh.bbox_diagonal()
     base = mesh.vertices
 
     def rho(positions):
         return flow._weighted_residual(
             curvature_bundle(mesh.with_positions(positions)), params)
 
+    rho0 = rho(base)
     J = np.empty((mesh.n_vertices, mesh.n_vertices))
     for j in range(mesh.n_vertices):
-        step = h * normals[j]
         plus = base.copy()
-        plus[j] += step
-        minus = base.copy()
-        minus[j] -= step
-        J[:, j] = (rho(plus) - rho(minus)) / (2.0 * h)
+        plus[j] += h * normals[j]
+        J[:, j] = (rho(plus) - rho0) / h
     return J
+
+
+def _jacobian(engine, mesh, normals):
+    """The engine's Jacobian data at ``mesh``, from the weighted residual
+    there."""
+    rho0 = flow._weighted_residual(curvature_bundle(mesh), engine.params)
+    return engine.jacobian(mesh, normals, rho0)
 
 
 def _sparse_jacobian(engine, J):
@@ -217,8 +223,8 @@ def _sparse_jacobian(engine, J):
 def test_colored_jacobian_equals_dense_fd_bitwise(level):
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
     engine = flow._ResidualEngine(CRITICAL, mesh)
-    J = _sparse_jacobian(engine, engine.jacobian(mesh, curvature_bundle(mesh).normal))
-    assert engine.evaluations == 2 * engine.n_colors
+    J = _sparse_jacobian(engine, _jacobian(engine, mesh, curvature_bundle(mesh).normal))
+    assert engine.evaluations == engine.n_colors
     assert np.array_equal(J.toarray(), _dense_fd_jacobian(mesh, CRITICAL))
 
 
@@ -369,14 +375,15 @@ def test_energy_descent_willmore_error_falls_under_refinement():
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_jacobian_stacks_its_face_passes(monkeypatch, level):
-    """2 x colors perturbed meshes in ceil(2C / rows) face passes, with rows
+    """One perturbed mesh per color in ceil(C / rows) face passes, with rows
     = JACOBIAN_BLOCK_FACES // F, each on the engine's block mesh, and one
     residual evaluation per perturbed mesh."""
     import helfrich.curvature as curvature
 
     mesh = hf.perturbed_sphere(2.0, 0.05, level)
     engine = flow._ResidualEngine(CRITICAL, mesh)
-    normals = curvature_bundle(mesh).normal
+    bundle = curvature_bundle(mesh)
+    rho0 = flow._weighted_residual(bundle, CRITICAL)
     passes, copies = [], []
     real_pass = curvature._face_data
     real_copy = hf.TriangleMesh.with_positions
@@ -384,8 +391,8 @@ def test_jacobian_stacks_its_face_passes(monkeypatch, level):
                         lambda *args: passes.append(args) or real_pass(*args))
     monkeypatch.setattr(hf.TriangleMesh, "with_positions",
                         lambda self, v: copies.append(self) or real_copy(self, v))
-    engine.jacobian(mesh, normals)
-    n_rows = 2 * engine.n_colors
+    engine.jacobian(mesh, bundle.normal, rho0)
+    n_rows = engine.n_colors
     rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
     assert rows == {2: 12, 3: 3}[level]
     assert len(passes) == -(-n_rows // rows)
@@ -415,12 +422,33 @@ def test_jacobian_builds_its_block_mesh_once(monkeypatch):
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_summary_meta_phase_times_add_up_to_wall_time(tmp_path, mode):
     cfg = FlowConfig(mode=mode, max_iterations=6, log_every=2)
-    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 2), CRITICAL, cfg)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 3), CRITICAL, cfg)
     tr.write_json(tmp_path / "flow_summary.json")
     meta = json.loads((tmp_path / "flow_summary.json").read_text())["meta"]
     phases = [meta[key] for key in flow.PHASES]
     assert all(p > 0.0 for p in phases)
     assert sum(phases) == pytest.approx(meta["wall_time_s"], rel=0.05)
+
+
+@pytest.mark.parametrize("mode", flow.MODES)
+def test_summary_meta_reports_engine_setup_outside_wall_time(tmp_path, monkeypatch, mode):
+    """meta's setup_s covers the engine's construction (coloring, ordering,
+    block mesh), which wall_time_s leaves out."""
+    engine = flow._ResidualEngine if mode == "residual_descent" else flow._EnergyEngine
+    real_init, inits = engine.__init__, []
+
+    def timed_init(self, *args):
+        t0 = time.perf_counter()
+        real_init(self, *args)
+        inits.append(time.perf_counter() - t0)
+
+    monkeypatch.setattr(engine, "__init__", timed_init)
+    cfg = FlowConfig(mode=mode, max_iterations=2, log_every=1)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, 2), CRITICAL, cfg)
+    tr.write_json(tmp_path / "flow_summary.json")
+    meta = json.loads((tmp_path / "flow_summary.json").read_text())["meta"]
+    assert len(inits) == 1
+    assert inits[0] <= meta["setup_s"] == tr.meta["setup_s"]
 
 
 def _sobolev_metric(mesh):
@@ -505,7 +533,7 @@ def test_band_solve_matches_sparse_lu(system, level):
         rings = 2
     else:
         engine = flow._ResidualEngine(CRITICAL, mesh)
-        J = _sparse_jacobian(engine, engine.jacobian(mesh, normals))
+        J = _sparse_jacobian(engine, _jacobian(engine, mesh, normals))
         JtJ = J.T @ J
         matrix = JtJ + sp.diags(engine.mu * JtJ.diagonal())
         rhs = -(J.T @ flow._weighted_residual(curvature_bundle(mesh), CRITICAL))
@@ -547,7 +575,9 @@ def test_flow_orders_once_and_reports_its_bandwidth(monkeypatch, mode):
 @pytest.mark.parametrize("mode", flow.MODES)
 def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
     """A matrix that is not numerically positive definite gives the step
-    -g nu with slope g.g, g the objective's gradient coefficient."""
+    -g nu with slope g.g, g the objective's gradient coefficient: bitwise for
+    the g the engine passes to its step, and to roundoff for g computed
+    here."""
     def not_positive_definite(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
@@ -555,17 +585,22 @@ def test_failed_factorization_falls_back_to_steepest_descent(monkeypatch, mode):
     normals = curvature_bundle(mesh).normal
     if mode == "residual_descent":
         engine = flow._ResidualEngine(CRITICAL, mesh)
-        J = _sparse_jacobian(engine, engine.jacobian(mesh, normals))
+        J = _sparse_jacobian(engine, _jacobian(engine, mesh, normals))
         g = 2.0 * (J.T @ flow._weighted_residual(curvature_bundle(mesh), CRITICAL))
     else:
         engine = flow._EnergyEngine(CRITICAL, mesh)
         g = (energy_gradient(mesh, CRITICAL) * normals).sum(axis=1)
+    taken = []       # the gradient coefficient of each step
+    real_step = flow._Engine.step
+    monkeypatch.setattr(flow._Engine, "step", lambda self, *args: (
+        taken.append(args[2]) or real_step(self, *args)))
     monkeypatch.setattr(flow, "solveh_banded", not_positive_definite)
     direction, slope, grad_norm = engine.direction(mesh, curvature_bundle(mesh))
+    (g_taken,) = taken
+    assert np.array_equal(direction, -g_taken[:, None] * normals)
+    assert slope == float(g_taken @ g_taken) > 0.0
     scale = np.abs(g).max()
     assert np.allclose(direction, -g[:, None] * normals, rtol=0, atol=1e-12 * scale)
-    c = -(direction * normals).sum(axis=1)
-    assert slope == float(c @ c) > 0.0
     assert slope == pytest.approx(float(g @ g), rel=1e-10)
     assert grad_norm == pytest.approx(float(np.linalg.norm(g)), rel=1e-10)
 
@@ -595,7 +630,7 @@ def test_flow_evaluates_each_iterate_once(monkeypatch, mode):
     assert single == tr.meta["objective_evaluations"]
     if mode == "residual_descent":
         rows = flow.JACOBIAN_BLOCK_FACES // mesh.n_faces
-        blocks = -(-2 * tr.meta["jacobian_colors"] // rows)
+        blocks = -(-tr.meta["jacobian_colors"] // rows)
         assert stacked == blocks * tr.meta["jacobian_builds"]
         assert 0 < tr.meta["jacobian_builds"] <= len(directions)
     else:
@@ -619,7 +654,7 @@ def test_direction_on_kept_jacobian_solves_its_normal_equations(monkeypatch):
     obj, bundle = engine.objective(mesh)
     engine.direction(mesh, bundle)
     fresh = flow._ResidualEngine(CRITICAL, mesh)
-    J = _sparse_jacobian(fresh, fresh.jacobian(mesh, bundle.normal)).toarray()
+    J = _sparse_jacobian(fresh, _jacobian(fresh, mesh, bundle.normal)).toarray()
     moved = mesh.with_positions(mesh.vertices + 1e-3 * bundle.normal)
     _, moved_bundle = engine.objective(moved)
     engine.feedback(0, obj, flow.REUSE_CONTRACTION * obj)
@@ -714,6 +749,49 @@ def test_failed_line_search_on_stale_jacobian_rebuilds_it(monkeypatch, fresh_sea
         assert tr.verdict == "stalled" and log[-1][0] is target[0]
     else:
         assert tr.verdict == "converged" and tr.final_mesh is not target[0]
+
+
+@pytest.mark.parametrize("level, initial_step", [(1, 0.05), (1, 0.1), (3, 0.1)])
+def test_step_on_kept_jacobian_that_backtracks_is_dropped(monkeypatch, level,
+                                                          initial_step):
+    """A step on a kept Jacobian is taken only if its first trial is
+    accepted: a search on a kept J stops at a rejected first trial, the step
+    is dropped, and J is built again at the same iterate.  Every accepted
+    step reaches feedback, which sees the engine still stale when the step's
+    J was a kept one.  On the level-1 flow from initial_step 0.05, the kept
+    J of iterate 0 would otherwise take a step after 31 backtracks at
+    iterate 5."""
+    engine = flow._ResidualEngine
+    real_feedback, real_direction, real_objective = \
+        engine.feedback, engine.direction, engine.objective
+    steps = []       # (stale, backtracks) per accepted step
+    searches = []    # [stale, objective evaluations] per direction
+
+    def feedback(self, backtracks, obj, trial_obj):
+        steps.append((self.stale, backtracks))
+        real_feedback(self, backtracks, obj, trial_obj)
+
+    def direction(self, m, bundle):
+        out = real_direction(self, m, bundle)
+        searches.append([self.stale, 0])
+        return out
+
+    def objective(self, m):
+        if searches:
+            searches[-1][1] += 1
+        return real_objective(self, m)
+
+    monkeypatch.setattr(engine, "feedback", feedback)
+    monkeypatch.setattr(engine, "direction", direction)
+    monkeypatch.setattr(engine, "objective", objective)
+    cfg = FlowConfig(mode="residual_descent", initial_step=initial_step,
+                     max_iterations=40, grad_tol=1e-8, log_every=5)
+    tr = flow_run(hf.perturbed_sphere(2.0, 0.05, level), CRITICAL, cfg)
+    assert len(steps) == tr.iterations
+    assert any(stale for stale, _ in steps)
+    assert not any(stale and backtracks for stale, backtracks in steps)
+    assert all(n <= 1 for stale, n in searches if stale)
+    assert tr.meta["objective_evaluations"] == 1 + sum(n for _, n in searches)
 
 
 def test_ftol_on_kept_jacobian_rebuilds_it_before_the_run_ends(monkeypatch):

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helfrich as hf
-from helfrich.analytic import plane_patch, sphere
-from helfrich.energy import EnergyParams
+from helfrich.analytic import QuadratureGrid, plane_patch, sphere
+from helfrich.curvature import cotan_operator, curvature_bundle
+from helfrich.energy import EnergyParams, evaluate_energies
 from helfrich.errors import UndefinedFunctionalError, UnsupportedError
 from helfrich.mesh import signed_volume
 from helfrich.variation import (
@@ -287,3 +290,75 @@ def test_area_volume_gradient_shapes_and_sphere_direction():
     r_hat = m.vertices / np.linalg.norm(m.vertices, axis=1, keepdims=True)
     assert (np.einsum("ij,ij->i", ga, r_hat) > 0).all()
     assert (np.einsum("ij,ij->i", gv, r_hat) > 0).all()
+
+
+def _scaled(params, s):
+    """The weights that keep the Helfrich total under x -> s x."""
+    return EnergyParams(params.c0 / s, params.lam1 / s**2, params.lam2 / s**3)
+
+
+def _residual_terms(params, H, K, tracefree_sq):
+    """|H A0^2| + |2 c0 K| + |(2 lam1 + c0^2/2) H| + |2 lam2| per point:
+    the size of the residual's terms other than the Laplacian of H."""
+    c0 = params.c0
+    return (np.abs(H * tracefree_sq) + np.abs(2.0 * c0 * K)
+            + np.abs((2.0 * params.lam1 + 0.5 * c0 * c0) * H) + abs(2.0 * params.lam2))
+
+
+def _assert_scaling_law(report, scaled_report, r, scaled_r, s, r_scale):
+    """W and the Helfrich total are invariant and s^3 times the scaled
+    residual is the residual: bitwise when s is a power of two, whose
+    products round exactly, and to roundoff otherwise."""
+    eps = np.finfo(float).eps
+    if s == 2.0 ** round(np.log2(s)):
+        assert scaled_report.willmore == report.willmore
+        assert scaled_report.helfrich == report.helfrich
+        assert np.array_equal(s**3 * scaled_r, r)
+        return
+    terms = sum(abs(report.breakdown[k]) for k in ("bending", "area_term", "volume_term"))
+    assert abs(scaled_report.willmore - report.willmore) <= 4 * eps * report.willmore
+    assert abs(scaled_report.helfrich - report.helfrich) <= 16 * eps * terms
+    assert np.abs(s**3 * scaled_r - r).max() <= 1e-13 * r_scale
+
+
+_WEIGHT = st.integers(-128, 128).map(lambda k: k / 64)
+_SCALE = st.one_of(st.integers(-4, 4).map(lambda k: 2.0**k), st.floats(0.25, 4.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(1, 3), amplitude=st.floats(0.0, 0.2),
+       radius=st.floats(0.5, 4.0), c0=_WEIGHT, lam1=_WEIGHT, lam2=_WEIGHT, s=_SCALE)
+def test_mesh_scaling_law(level, amplitude, radius, c0, lam1, lam2, s):
+    """x -> s x with (c0, lam1, lam2) -> (c0 / s, lam1 / s^2, lam2 / s^3)
+    keeps W and the Helfrich total and divides the residual by s^3.  The
+    residual's roundoff scale includes |K| |H| / M, the size of the terms
+    the cotangent Laplacian of H cancels."""
+    params = EnergyParams(c0, lam1, lam2)
+    m = hf.perturbed_sphere(radius, amplitude, level)
+    big = m.with_positions(s * m.vertices)
+    b, op = curvature_bundle(m), cotan_operator(m)
+    H = b.mean_curvature
+    r_scale = (abs(op.stiffness) @ np.abs(H) / b.vertex_area
+               + _residual_terms(params, H, b.gauss_curvature, b.tracefree_sq)).max()
+    _assert_scaling_law(evaluate_energies(m, params),
+                        evaluate_energies(big, _scaled(params, s)),
+                        el_residual(m, params).values,
+                        el_residual(big, _scaled(params, s)).values, s, r_scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(0.5, 4.0), c0=_WEIGHT, lam1=_WEIGHT, lam2=_WEIGHT, s=_SCALE)
+def test_oracle_sphere_scaling_law(radius, c0, lam1, lam2, s):
+    """The same law on the oracle sphere: sphere(s R) with the scaled
+    weights against sphere(R), on the default quadrature grid."""
+    params = EnergyParams(c0, lam1, lam2)
+    surface = sphere(radius)
+    uu, vv, _ = QuadratureGrid.for_surface(surface, 64, 64).mesh()
+    g = surface.geometry(uu, vv)
+    r_scale = _residual_terms(params, g.mean_curvature, g.gauss_curvature,
+                              g.tracefree_sq).max()
+    big = sphere(s * radius)
+    _assert_scaling_law(evaluate_energies(surface, params),
+                        evaluate_energies(big, _scaled(params, s)),
+                        el_residual(surface, params).values,
+                        el_residual(big, _scaled(params, s)).values, s, r_scale)
