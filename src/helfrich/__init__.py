@@ -8,11 +8,9 @@ from .analytic import (
     PointGeometry,
     QuadratureGrid,
     catenoid,
-    enclosed_volume,
     estimate_report,
     graph_surface,
     identity_check,
-    oracle_geometry,
     oracle_integrate,
     plane_patch,
     sphere,
@@ -34,11 +32,9 @@ from .curvature import (
     SparseOperator,
     cotan_operator,
     curvature_bundle,
-    laplace_field,
 )
 from .energy import EnergyParams, EnergyReport, evaluate_energies, localized_gap
 from .errors import (
-    DomainError,
     FitError,
     HelfrichError,
     MeshInputError,
@@ -51,13 +47,11 @@ from .errors import (
 )
 from .flow import FlowConfig, FlowTrace, best_fit_sphere, flow_run
 from .mesh import (
-    PrimitiveSpec,
     TriangleMesh,
     catenoid_mesh,
     flat_patch,
     icosphere,
     load_mesh,
-    make_primitive,
     mesh_integrals,
     perturbed_sphere,
     refine,

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UnsupportedError
+from .errors import NumericalError, UnsupportedError
 
 TWO_PI = 2.0 * np.pi
-FULL_CATENOID_GAP = 8.0 * np.pi     # limiting value of the gap quantity
 
 
 # -- surfaces -----------------------------------------------------------------
@@ -51,12 +50,6 @@ class ParametricSurface:
             raise UnsupportedError(
                 f"surface {self.name!r} has no third-order chart derivatives")
         return self.jet_fn(np.asarray(uu, float), np.asarray(vv, float), order)
-
-    def contains(self, u, v):
-        (u0, u1), (v0, v1) = self.domain
-        ok_u = self.periodic[0] or (u0 <= u <= u1)
-        ok_v = self.periodic[1] or (v0 <= v <= v1)
-        return ok_u and ok_v
 
     def geometry(self, uu, vv):
         return _geometry(self, np.asarray(uu, float), np.asarray(vv, float))
@@ -130,13 +123,6 @@ def _geometry(surface, uu, vv):
         mean_curvature=H, gauss_curvature=K, tracefree_sq=tracefree,
         sqrt_det_g=w, grad_mean_sq=grad_sq,
         laplace_mean_curvature=lap)
-
-
-def oracle_geometry(surface: ParametricSurface, u, v) -> PointGeometry:
-    """Exact fundamental forms at a single chart point."""
-    if not surface.contains(u, v):
-        raise DomainError(f"({u}, {v}) outside domain of {surface.name}")
-    return surface.geometry(u, v)
 
 
 def _stack3(*comps):
@@ -342,13 +328,6 @@ def oracle_integrate(surface, integrand, grid: QuadratureGrid) -> float:
 def _volume_density(g):
     """Divergence-theorem density; the outward normal is minus the stored one."""
     return -_dot(g.position, g.normal) / 3.0
-
-
-def enclosed_volume(surface, grid):
-    """Signed volume of a closed oracle surface (divergence theorem)."""
-    if not surface.closed:
-        raise UnsupportedError("enclosed volume needs a closed surface")
-    return oracle_integrate(surface, _volume_density, grid)
 
 
 # -- unit-normal jets and perturbed immersions --------------------------------

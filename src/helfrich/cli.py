@@ -8,7 +8,8 @@ Config files are JSON objects whose keys mirror the long flag names with
 underscores; explicit flags override file values, unknown keys are rejected.
 
 Exit codes: 0 success / all-pass, 1 numerical or acceptance failure
-(including a non-finite summary value), 2 invalid input or config.
+(including a non-finite summary value), 2 invalid input or config (including
+an open mesh or surface given to a command that needs a closed one).
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from .analytic import (
 from .classify import classify_case, radius_scan, write_verdict_json
 from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
-from .errors import HelfrichError, MeshInputError, NumericalError, ParameterError
+from .errors import (HelfrichError, MeshInputError, NumericalError, ParameterError,
+                     UnsupportedError)
 from .flow import FlowConfig, flow_run
-from .mesh import (PrimitiveSpec, load_mesh, make_primitive, mesh_integrals, save_mesh,
-                   validate)
+from .mesh import (catenoid_mesh, flat_patch, icosphere, load_mesh, mesh_integrals,
+                   perturbed_sphere, save_mesh, validate)
 from .output import write_csv, write_json
 from .variation import _mesh_residual, el_residual, gradient_check
 
@@ -197,12 +199,18 @@ def _config_value(key, value, typ, default):
     return typ(value)
 
 
-def _primitive_spec(v):
-    return PrimitiveSpec(
-        kind=v["kind"], radius=v["radius"], level=v["level"],
-        amplitude=v["amplitude"], neck_scale=v["neck_scale"],
-        half_height=v["half_height"], grid=(v["grid_u"], v["grid_v"]),
-        extent=(v["extent_x"], v["extent_y"]))
+def _primitive(v):
+    """The --kind builder called with the flags it reads."""
+    grid = (v["grid_u"], v["grid_v"])
+    builders = {
+        "icosphere": lambda: icosphere(v["radius"], v["level"]),
+        "catenoid": lambda: catenoid_mesh(v["neck_scale"], v["half_height"], grid),
+        "flat_patch": lambda: flat_patch(grid, (v["extent_x"], v["extent_y"])),
+        "perturbed_sphere": lambda: perturbed_sphere(v["radius"], v["amplitude"], v["level"]),
+    }
+    if v["kind"] not in builders:
+        raise ParameterError("kind", f"must be one of {tuple(builders)}, got {v['kind']!r}")
+    return builders[v["kind"]]()
 
 
 def _params(v):
@@ -231,7 +239,7 @@ def _source(v):
         return load_mesh(path)
     if v.get("surface"):
         return _surface(v)
-    return make_primitive(_primitive_spec(v))
+    return _primitive(v)
 
 
 def _out(v, name):
@@ -242,7 +250,7 @@ def _out(v, name):
 # -- subcommand bodies ------------------------------------------------------------
 
 def _cmd_mesh_make(v):
-    mesh = make_primitive(_primitive_spec(v))
+    mesh = _primitive(v)
     path = _out(v, v["mesh_out"])
     save_mesh(mesh, path)
     d = validate(mesh)
@@ -291,7 +299,7 @@ def _write_bundle_csv(mesh, b, path):
 
 
 def _cmd_gradient_check(v):
-    mesh = make_primitive(_primitive_spec(v))
+    mesh = _primitive(v)
     rep = gradient_check(mesh, _params(v), n_fields=v["n_fields"], seed=v["seed"])
     header = ["field", "area_rel", "volume_rel", "full_rel"]
     write_csv(_out(v, "gradient_check.csv"), header,
@@ -380,7 +388,7 @@ def _cmd_classify(v):
 
 
 def _cmd_flow(v):
-    mesh = make_primitive(_primitive_spec(v))
+    mesh = _primitive(v)
     cfg = FlowConfig(mode=v["mode"], initial_step=v["initial_step"],
                      max_iterations=v["max_iterations"], grad_tol=v["grad_tol"],
                      log_every=v["log_every"])
@@ -436,7 +444,8 @@ def run_command(argv) -> int:
         if code == EXIT_OK:
             print(f"{args.command}: ok ({time.perf_counter() - t0:.1f}s)")
         return code
-    except (ParameterError, MeshInputError, FileNotFoundError, ValueError) as e:
+    except (ParameterError, MeshInputError, UnsupportedError, FileNotFoundError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BADINPUT
     except NumericalError as e:

@@ -288,15 +288,6 @@ class _OneRing:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(V, V))
 
 
-def laplace_field(op: SparseOperator, field) -> np.ndarray:
-    """Pointwise Laplace-Beltrami estimate: mass-inverse stiffness product."""
-    field = np.asarray(field, dtype=np.float64)
-    if field.shape != (len(op.mass),):
-        raise OperatorError(
-            f"field length {field.shape} does not match vertex count {len(op.mass)}")
-    return (op.stiffness @ field) / op.mass
-
-
 def angle_defect_total(mesh: TriangleMesh) -> float:
     """Sum of vertex angle defects; equals 2 pi chi on closed meshes."""
     angles = _face_data(mesh).angles

@@ -41,10 +41,6 @@ class UndefinedFunctionalError(HelfrichError):
     """A volume-weighted functional was requested on a non-closed surface."""
 
 
-class DomainError(HelfrichError):
-    """Chart point outside a parametric surface's domain."""
-
-
 class UnsupportedError(HelfrichError):
     """Operation not available for this input (documented restriction)."""
 

@@ -39,18 +39,18 @@ evaluation per color (34 colors on the level-2 icosphere, 39 from level 3
 on) instead of V.  The step h is JACOBIAN_STEP_REL times the bounding-box
 diagonal, near sqrt(eps), where the O(h) truncation and the O(eps / h)
 rounding of a forward difference balance (Gill, Murray & Wright, Practical
-Optimization, 1981, sec. 8.6).  At the gradient checks' FD_STEP_REL (1e-5)
-forward differences failed: the level-4 flow ended at a fit_rms of 1.2e-4
-instead of 3.8e-7.  Central differences at that step cost two evaluations
-per color.  The perturbed meshes share the connectivity, so they go through
-the curvature pass in blocks of about JACOBIAN_BLOCK_FACES faces (12 meshes
-at level 2, 3 at level 3): each block is one mesh of disjoint copies of the
-flow's connectivity, built once per flow (_block_mesh), whose vertex bins
-are those of the copies in turn, so each copy's bundle is bitwise the one
-its mesh gives on its own.  On meshes that small the cost of one pass is
-mostly per-call overhead, and one block is far cheaper than its meshes one
-by one.  Under central differences, one block of all 68 level-2 meshes was
-no faster and raised the flow's peak memory by about 7 MB.
+Optimization, 1981, sec. 8.6).  At 1e-5, directional_derivative_fd's default
+FD_STEP_REL, forward differences failed: the level-4 flow ended at a fit_rms
+of 1.2e-4 instead of 3.8e-7.  Central differences at that step cost two
+evaluations per color.  The perturbed meshes share the connectivity, so they
+go through the curvature pass in blocks of about JACOBIAN_BLOCK_FACES faces
+(12 meshes at level 2, 3 at level 3): each block is one mesh of disjoint
+copies of the flow's connectivity, built once per flow (_block_mesh), whose
+vertex bins are those of the copies in turn, so each copy's bundle is
+bitwise the one its mesh gives on its own.  On meshes that small the cost of
+one pass is mostly per-call overhead, and one block is far cheaper than its
+meshes one by one.  Under central differences, one block of all 68 level-2
+meshes was no faster and raised the flow's peak memory by about 7 MB.
 
 Not every step builds a Jacobian: the engine keeps the last J, with the
 band of J^T J, while it keeps working, as in chord (Shamanskii)

@@ -8,7 +8,6 @@ signs downstream are taken against the inward normal.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 from dataclasses import dataclass
@@ -18,52 +17,6 @@ import numpy as np
 from .errors import MeshInputError, ParameterError, TopologyError, UnsupportedError
 
 DEGENERATE_AREA_REL = 1e-12  # of (bbox diagonal)^2
-
-
-@dataclass(frozen=True)
-class PrimitiveSpec:
-    """Parameters for one benchmark primitive.
-
-    kind: one of ``icosphere``, ``catenoid``, ``flat_patch``,
-    ``perturbed_sphere``.  Fields not used by a kind are ignored.
-    """
-
-    kind: str
-    radius: float = 1.0          # icosphere / perturbed_sphere
-    neck_scale: float = 1.0      # catenoid waist radius c
-    half_height: float = 2.0     # catenoid truncation T
-    level: int = 3               # icosphere subdivision level
-    amplitude: float = 0.0       # perturbed_sphere epsilon
-    grid: tuple = (64, 64)       # (around, along) for catenoid, (nx, ny) for patch
-    extent: tuple = (1.0, 1.0)   # flat_patch side lengths
-
-    def validate(self):
-        kinds = ("icosphere", "catenoid", "flat_patch", "perturbed_sphere")
-        if self.kind not in kinds:
-            raise ParameterError("kind", f"must be one of {kinds}, got {self.kind!r}")
-        if self.kind in ("icosphere", "perturbed_sphere"):
-            if not self.radius > 0:
-                raise ParameterError("radius", f"must be > 0, got {self.radius}")
-            if not (isinstance(self.level, (int, np.integer)) and self.level >= 0):
-                raise ParameterError("level", f"must be an integer >= 0, got {self.level}")
-        if self.kind == "perturbed_sphere":
-            if not 0 <= self.amplitude < 0.3:
-                raise ParameterError(
-                    "amplitude", f"must satisfy 0 <= eps < 0.3, got {self.amplitude}")
-        if self.kind == "catenoid":
-            if not self.neck_scale > 0:
-                raise ParameterError("neck_scale", f"must be > 0, got {self.neck_scale}")
-            if not self.half_height > 0:
-                raise ParameterError("half_height", f"must be > 0, got {self.half_height}")
-            nu, nv = self.grid
-            if nu < 3 or nv < 2:
-                raise ParameterError("grid", f"need at least 3x2 samples, got {self.grid}")
-        if self.kind == "flat_patch":
-            nx, ny = self.grid
-            if nx < 1 or ny < 1:
-                raise ParameterError("grid", f"need at least 1x1 cells, got {self.grid}")
-            if not (self.extent[0] > 0 and self.extent[1] > 0):
-                raise ParameterError("extent", f"side lengths must be > 0, got {self.extent}")
 
 
 # Zero-mean cubic radial profile for the perturbed sphere, in the unit-position
@@ -107,7 +60,7 @@ class TriangleMesh:
     ``is_boundary_halfedge``).
     """
 
-    def __init__(self, vertices, faces, source: PrimitiveSpec | None = None):
+    def __init__(self, vertices, faces):
         # Frozen copies, so the caller's own arrays stay writeable.
         vertices = np.array(vertices, dtype=np.float64)
         faces = np.array(faces, dtype=np.int64)
@@ -120,7 +73,6 @@ class TriangleMesh:
             raise ValueError("face indices out of range")
         self.vertices = vertices
         self.faces = faces
-        self.source = source
         self._build_halfedges()
 
     # -- connectivity -------------------------------------------------------
@@ -205,9 +157,9 @@ class TriangleMesh:
         vertices.flags.writeable = False
         if vertices.shape != self.vertices.shape:
             raise ValueError("positions shape mismatch")
-        # Shallow copy: every attribute but the positions is connectivity (or
-        # the source spec) and is shared, so nothing derived from positions
-        # may be stored on the instance.
+        # Shallow copy: every attribute but the positions is connectivity and
+        # is shared, so nothing derived from positions may be stored on the
+        # instance.
         new = object.__new__(TriangleMesh)
         new.__dict__.update(self.__dict__)
         new.vertices = vertices
@@ -393,57 +345,63 @@ def _grid_faces(rows, cols, wrap):
                     axis=-1).reshape(-1, 3)
 
 
-def make_primitive(spec: PrimitiveSpec) -> TriangleMesh:
-    """Construct one of the benchmark meshes; see PrimitiveSpec."""
-    spec.validate()
-    if spec.kind == "icosphere":
-        v, f = _unit_icosphere(spec.level)
-        return TriangleMesh(spec.radius * v, f, source=spec)
+def _check(ok, field, message):
+    if not ok:
+        raise ParameterError(field, message)
 
-    if spec.kind == "perturbed_sphere":
-        n, f = _unit_icosphere(spec.level)
-        r = spec.radius * (1.0 + spec.amplitude * radial_profile(n))
-        return TriangleMesh(r[:, None] * n, f, source=spec)
 
-    if spec.kind == "catenoid":
-        nu, nv = spec.grid
-        c, T = spec.neck_scale, spec.half_height
-        u = np.linspace(0.0, 2 * np.pi, nu, endpoint=False)
-        v = np.linspace(-T, T, nv)
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        rad = c * np.cosh(vv / c)
-        pts = np.stack([rad * np.cos(uu), rad * np.sin(uu), vv], axis=-1)
-        return TriangleMesh(pts.reshape(-1, 3), _grid_faces(nu, nv, wrap=True),
-                            source=spec)
-
-    if spec.kind == "flat_patch":
-        nx, ny = spec.grid
-        Lx, Ly = spec.extent
-        x = np.linspace(0.0, Lx, nx + 1)
-        y = np.linspace(0.0, Ly, ny + 1)
-        xx, yy = np.meshgrid(x, y, indexing="ij")
-        verts = np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
-        return TriangleMesh(verts, _grid_faces(nx + 1, ny + 1, wrap=False), source=spec)
-
-    raise ParameterError("kind", f"unhandled kind {spec.kind!r}")
+def _check_sphere(radius, level):
+    _check(radius > 0, "radius", f"must be > 0, got {radius}")
+    _check(isinstance(level, (int, np.integer)) and level >= 0,
+           "level", f"must be an integer >= 0, got {level}")
 
 
 def icosphere(radius=1.0, level=3):
-    return make_primitive(PrimitiveSpec(kind="icosphere", radius=radius, level=level))
+    """Sphere of ``radius``: the icosahedron split ``level`` times, each new
+    vertex pushed out onto the unit sphere, then scaled."""
+    _check_sphere(radius, level)
+    v, f = _unit_icosphere(level)
+    return TriangleMesh(radius * v, f)
 
 
 def perturbed_sphere(radius=1.0, amplitude=0.05, level=3):
-    return make_primitive(PrimitiveSpec(
-        kind="perturbed_sphere", radius=radius, amplitude=amplitude, level=level))
+    """The icosphere's directions n at radius ``radius * (1 + amplitude *
+    radial_profile(n))``."""
+    _check_sphere(radius, level)
+    _check(0 <= amplitude < 0.3, "amplitude",
+           f"must satisfy 0 <= eps < 0.3, got {amplitude}")
+    n, f = _unit_icosphere(level)
+    r = radius * (1.0 + amplitude * radial_profile(n))
+    return TriangleMesh(r[:, None] * n, f)
 
 
 def catenoid_mesh(neck_scale=1.0, half_height=2.0, grid=(64, 64)):
-    return make_primitive(PrimitiveSpec(
-        kind="catenoid", neck_scale=neck_scale, half_height=half_height, grid=grid))
+    """Catenoid of waist radius c = ``neck_scale`` for |z| <= ``half_height``,
+    sampled on ``grid`` = (around, along) points; open at both ends."""
+    _check(neck_scale > 0, "neck_scale", f"must be > 0, got {neck_scale}")
+    _check(half_height > 0, "half_height", f"must be > 0, got {half_height}")
+    nu, nv = grid
+    _check(nu >= 3 and nv >= 2, "grid", f"need at least 3x2 samples, got {grid}")
+    u = np.linspace(0.0, 2 * np.pi, nu, endpoint=False)
+    v = np.linspace(-half_height, half_height, nv)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    rad = neck_scale * np.cosh(vv / neck_scale)
+    pts = np.stack([rad * np.cos(uu), rad * np.sin(uu), vv], axis=-1)
+    return TriangleMesh(pts.reshape(-1, 3), _grid_faces(nu, nv, wrap=True))
 
 
 def flat_patch(grid=(16, 16), extent=(1.0, 1.0)):
-    return make_primitive(PrimitiveSpec(kind="flat_patch", grid=grid, extent=extent))
+    """The rectangle [0, Lx] x [0, Ly] in the plane z = 0, ``extent`` = (Lx,
+    Ly), cut into ``grid`` = (nx, ny) cells of two triangles."""
+    nx, ny = grid
+    _check(nx >= 1 and ny >= 1, "grid", f"need at least 1x1 cells, got {grid}")
+    _check(extent[0] > 0 and extent[1] > 0, "extent",
+           f"side lengths must be > 0, got {extent}")
+    x = np.linspace(0.0, extent[0], nx + 1)
+    y = np.linspace(0.0, extent[1], ny + 1)
+    xx, yy = np.meshgrid(x, y, indexing="ij")
+    verts = np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
+    return TriangleMesh(verts, _grid_faces(nx + 1, ny + 1, wrap=False))
 
 
 # -- refinement ---------------------------------------------------------------
@@ -472,7 +430,8 @@ def _split_faces(mesh: TriangleMesh):
 def refine(mesh: TriangleMesh) -> TriangleMesh:
     """One Loop-subdivision step (closed meshes only); F quadruples.
 
-    Icosphere sources are reprojected onto their sphere after subdivision.
+    Positions are Loop's averages for every mesh, projected onto no surface:
+    a refined icosphere lies inside its sphere.
     """
     if not mesh.closed:
         raise UnsupportedError("refine supports closed meshes only")
@@ -498,16 +457,7 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
                         for c in np.ascontiguousarray(mesh.vertices.T)], axis=1)
     even_pts = (1.0 - valence * beta)[:, None] * mesh.vertices + beta[:, None] * nbr_sum
 
-    new_verts = np.vstack([even_pts, edge_pts])
-
-    source = mesh.source
-    if source is not None and source.kind == "icosphere":
-        norms = np.linalg.norm(new_verts, axis=1, keepdims=True)
-        new_verts = source.radius * new_verts / norms
-        source = dataclasses.replace(source, level=source.level + 1)
-    else:
-        source = None      # the refined mesh no longer matches its spec
-    return TriangleMesh(new_verts, new_faces, source=source)
+    return TriangleMesh(np.vstack([even_pts, edge_pts]), new_faces)
 
 
 # -- file I/O -----------------------------------------------------------------

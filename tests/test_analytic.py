@@ -13,11 +13,9 @@ from helfrich.analytic import (
     catenoid,
     chart_codazzi_gradient_deviation,
     cutoff_profile,
-    enclosed_volume,
     estimate_report,
     graph_surface,
     identity_check,
-    oracle_geometry,
     oracle_integrate,
     plane_patch,
     sphere,
@@ -25,13 +23,13 @@ from helfrich.analytic import (
     variation_check,
 )
 from helfrich.energy import EnergyParams, evaluate_energies
-from helfrich.errors import DomainError, NumericalError, UnsupportedError
+from helfrich.errors import NumericalError, UnsupportedError
 
 
 # -- point geometry ------------------------------------------------------------
 
 def test_sphere_point_geometry():
-    g = oracle_geometry(sphere(2.0), 0.9, 1.7)
+    g = sphere(2.0).geometry(0.9, 1.7)
     assert g.mean_curvature == pytest.approx(1.0, abs=1e-14)
     assert g.gauss_curvature == pytest.approx(0.25, abs=1e-14)
     assert abs(g.tracefree_sq) < 1e-14
@@ -40,14 +38,14 @@ def test_sphere_point_geometry():
 
 
 def test_catenoid_point_geometry():
-    g = oracle_geometry(catenoid(1.0, 2.0), 0.3, 0.0)
+    g = catenoid(1.0, 2.0).geometry(0.3, 0.0)
     assert abs(g.mean_curvature) < 1e-14
     assert g.gauss_curvature == pytest.approx(-1.0, abs=1e-13)
     assert g.tracefree_sq == pytest.approx(2.0, abs=1e-13)
 
 
 def test_plane_point_geometry():
-    g = oracle_geometry(plane_patch(), 0.4, 0.6)
+    g = plane_patch().geometry(0.4, 0.6)
     assert np.abs(g.second_fundamental).max() == 0.0
     assert g.mean_curvature == 0.0 and g.gauss_curvature == 0.0
 
@@ -63,7 +61,7 @@ def test_torus_chart_matches_stored_forms():
 
 def test_torus_inward_normal_sign():
     # tube curvature positive against the inward normal, like the sphere
-    g = oracle_geometry(torus(2.0, 1.0), 0.0, 0.0)
+    g = torus(2.0, 1.0).geometry(0.0, 0.0)
     k2 = g.second_fundamental[1, 1] / g.metric[1, 1]
     assert k2 == pytest.approx(1.0, abs=1e-14)
 
@@ -77,16 +75,9 @@ def test_graph_surface_geometry():
         hxy=lambda x, y: np.zeros_like(x),
         hyy=lambda x, y: -2 * np.ones_like(x),
         domain=((-1, 1), (-1, 1)))
-    g = oracle_geometry(s, 0.0, 0.0)
+    g = s.geometry(0.0, 0.0)
     assert abs(g.mean_curvature) < 1e-14
     assert g.gauss_curvature == pytest.approx(-4.0, abs=1e-13)
-
-
-def test_domain_error():
-    with pytest.raises(DomainError):
-        oracle_geometry(plane_patch(), 2.0, 0.5)
-    # periodic axis wraps instead of erroring
-    oracle_geometry(sphere(1.0), 9.0, 1.0)
 
 
 def test_immersion_condition_on_grid():
@@ -177,7 +168,8 @@ def test_torus_gauss_bonnet():
 
 def test_sphere_volume():
     grid = QuadratureGrid.for_surface(sphere(2.0), 64, 64)
-    assert enclosed_volume(sphere(2.0), grid) == pytest.approx(32 * np.pi / 3, rel=1e-12)
+    volume = evaluate_energies(sphere(2.0), EnergyParams(), grid=grid).volume
+    assert volume == pytest.approx(32 * np.pi / 3, rel=1e-12)
 
 
 def test_quadrature_self_consistency():
@@ -465,7 +457,7 @@ def test_oracle_reports_evaluate_each_grid_once_and_match_per_integrand(
         surface, lambda g: 0.25 * (g.mean_curvature - params.c0) ** 2, grid)
     assert energies.gap == oracle_integrate(surface, lambda g: g.tracefree_sq, grid)
     if surface.closed:
-        assert energies.volume == enclosed_volume(surface, grid)
+        assert energies.volume == oracle_integrate(surface, analytic._volume_density, grid)
 
     fine = QuadratureGrid.for_surface(surface, 96, 96)
     half = QuadratureGrid.for_surface(surface, 48, 48)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import helfrich as hf
 from helfrich.cli import EXIT_BADINPUT, EXIT_FAIL, EXIT_OK, SUBCOMMANDS, run_command
 
 
@@ -426,3 +427,44 @@ def test_mesh_summary_meta_counts_clamps_and_obtuse_faces(tmp_path, monkeypatch,
                     "clamp_fraction": bundle.clamp_fraction,
                     "clamp_max": bundle.clamp_max, "obtuse_faces": bundle.obtuse_faces}
     assert meta["obtuse_faces"] > 0
+
+
+@pytest.mark.parametrize("kind, flags, build", [
+    ("icosphere", ["--radius", "1.5", "--level", "2"], lambda: hf.icosphere(1.5, 2)),
+    ("perturbed_sphere", ["--radius", "2", "--amplitude", "0.1", "--level", "2"],
+     lambda: hf.perturbed_sphere(2.0, 0.1, 2)),
+    ("catenoid", ["--neck-scale", "0.5", "--half-height", "1.5", "--grid-u", "12",
+                  "--grid-v", "7"], lambda: hf.catenoid_mesh(0.5, 1.5, (12, 7))),
+    ("flat_patch", ["--grid-u", "5", "--grid-v", "3", "--extent-x", "2",
+                    "--extent-y", "0.5"], lambda: hf.flat_patch((5, 3), (2.0, 0.5))),
+])
+def test_mesh_make_writes_its_builders_mesh(tmp_path, kind, flags, build):
+    assert run(["mesh-make", "--kind", kind, *flags, "--out", str(tmp_path),
+                "--mesh-out", "cli.obj"]) == EXIT_OK
+    hf.save_mesh(build(), tmp_path / "direct.obj")
+    assert (tmp_path / "cli.obj").read_bytes() == (tmp_path / "direct.obj").read_bytes()
+
+
+def test_unknown_kind_exits_2_naming_kind(tmp_path, capsys):
+    assert run(["mesh-make", "--kind", "cube", "--out", str(tmp_path)]) == EXIT_BADINPUT
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["error: kind: must be one of ('icosphere', 'catenoid', 'flat_patch', "
+                      "'perturbed_sphere'), got 'cube'"]
+    assert not (tmp_path / "mesh.obj").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gradient-check", "--kind", "catenoid", "--grid-u", "8", "--grid-v", "4"],
+     "gradient_check needs a closed mesh"),
+    (["flow", "--kind", "flat_patch", "--grid-u", "4", "--grid-v", "4"],
+     "flow_run needs a closed mesh"),
+    (["variation-check", "--surface", "catenoid"], "variation_check needs a closed surface"),
+    (["variation-check", "--surface", "plane"], "variation_check needs a closed surface"),
+], ids=["gradient-check-catenoid", "flow-flat_patch", "variation-check-catenoid",
+        "variation-check-plane"])
+def test_open_input_to_closed_only_command_exits_2(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", str(tmp_path)]) == EXIT_BADINPUT
+    out, err = capsys.readouterr()
+    assert "ok" not in out and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
