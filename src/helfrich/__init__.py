@@ -41,8 +41,6 @@ from .errors import (
     NumericalError,
     OperatorError,
     ParameterError,
-    TopologyError,
-    UndefinedFunctionalError,
     UnsupportedError,
 )
 from .flow import FlowConfig, FlowTrace, best_fit_sphere, flow_run

@@ -17,15 +17,17 @@ import numpy as np
 
 from .energy import EnergyParams
 from .errors import ParameterError
-from .output import write_csv, write_json
+from .output import write_csv
 
+# (sign of lam1, sign of lam2) -> (branch, predicted critical set)
 BRANCHES = {
-    ("+", "-"): "lam1>0,lam2<0",
-    ("+", "0"): "lam1>0,lam2=0",
-    ("+", "+"): "lam1>0,lam2>0",
-    ("0", "0"): "lam1=0,lam2=0",
-    ("0", "-"): "lam1=0,lam2!=0",
-    ("0", "+"): "lam1=0,lam2!=0",
+    ("+", "-"): ("lam1>0,lam2<0",
+                 "single round sphere of radius -2*lam1/lam2 (any center)"),
+    ("+", "0"): ("lam1>0,lam2=0", "planes only"),
+    ("+", "+"): ("lam1>0,lam2>0", "no critical point"),
+    ("0", "0"): ("lam1=0,lam2=0", "planes and spheres of every radius"),
+    ("0", "-"): ("lam1=0,lam2!=0", "no critical point"),
+    ("0", "+"): ("lam1=0,lam2!=0", "no critical point"),
 }
 
 SCAN_RADIUS_TOL = 0.01   # relative radius error of a scan root, and of a
@@ -158,19 +160,11 @@ class BranchVerdict:
         }
 
 
-def _branch_key(params: EnergyParams):
+def _branch(params: EnergyParams):
+    """(branch, predicted critical set) from the signs of (lam1, lam2)."""
     s1 = "+" if params.lam1 > 0 else "0"
     s2 = "+" if params.lam2 > 0 else ("-" if params.lam2 < 0 else "0")
     return BRANCHES[(s1, s2)]
-
-
-_PREDICTIONS = {
-    "lam1>0,lam2<0": "single round sphere of radius -2*lam1/lam2 (any center)",
-    "lam1>0,lam2=0": "planes only",
-    "lam1>0,lam2>0": "no critical point",
-    "lam1=0,lam2=0": "planes and spheres of every radius",
-    "lam1=0,lam2!=0": "no critical point",
-}
 
 
 def classify_case(params: EnergyParams, scan: ScanTable | None = None,
@@ -180,7 +174,7 @@ def classify_case(params: EnergyParams, scan: ScanTable | None = None,
     in ``discrepancies`` (discretization error is expected), never raises."""
     if params.lam1 < 0:
         raise ParameterError("lam1", "outside classification hypotheses (lam1 >= 0)")
-    branch = _branch_key(params)
+    branch, predicted = _branch(params)
     predicted_radius = critical_sphere_radius(params)
     evidence = {}
     discrepancies = []
@@ -219,10 +213,6 @@ def classify_case(params: EnergyParams, scan: ScanTable | None = None,
     evidence["plane_residual"] = plane_residual(params)
 
     return BranchVerdict(
-        branch=branch, predicted=_PREDICTIONS[branch],
+        branch=branch, predicted=predicted,
         critical_radius=predicted_radius, evidence=evidence,
         discrepancies=discrepancies, consistent=not discrepancies)
-
-
-def write_verdict_json(verdict: BranchVerdict, path):
-    write_json(path, verdict.to_json_dict())

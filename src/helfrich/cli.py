@@ -35,7 +35,7 @@ from .analytic import (
     torus,
     variation_check,
 )
-from .classify import classify_case, radius_scan, write_verdict_json
+from .classify import classify_case, radius_scan
 from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
 from .errors import (HelfrichError, MeshInputError, NumericalError, ParameterError,
@@ -383,7 +383,7 @@ def _cmd_classify(v):
     verdict = classify_case(params, scan=table,
                             flow_endpoint_radius=v.get("flow_endpoint_radius"))
     table.write_csv(_out(v, "classify_scan.csv"))
-    write_verdict_json(verdict, _out(v, "classify_summary.json"))
+    write_json(_out(v, "classify_summary.json"), verdict.to_json_dict())
     return EXIT_OK
 
 

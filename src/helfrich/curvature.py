@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import OperatorError
-from .mesh import DEGENERATE_AREA_REL, TriangleMesh
+from .mesh import TriangleMesh, _degenerate_faces
 
 
 @dataclass
@@ -121,9 +121,9 @@ def _face_data(mesh: TriangleMesh) -> FacePass:
     double_area = np.sqrt((nx * nx + ny * ny) + nz * nz)
     area = 0.5 * double_area
 
-    bad = area <= DEGENERATE_AREA_REL * mesh.bbox_diagonal() ** 2
-    if bad.any():
-        raise OperatorError(f"degenerate face {int(bad.argmax())}")
+    bad = _degenerate_faces(mesh, area)
+    if len(bad):
+        raise OperatorError(f"degenerate face {int(bad[0])}")
 
     # numpy's einsum sums a 3-vector dot product as (x + z) + y; keep its order.
     def dot(a, b):

@@ -37,10 +37,10 @@ class EnergyReport:
     area: float
     volume: float | None
     willmore: float
+    bending: float                # integral of (H - c0)^2 / 4
     helfrich: float | None
     lcw: float | None             # Willmore + lam1*area + lam2*volume
     gap: float                    # integral of |A deg|^2
-    breakdown: dict
     closed: bool
     counters: dict = field(default_factory=dict)   # a mesh's curvature counts
 
@@ -64,16 +64,13 @@ def evaluate_energies(source, params: EnergyParams, grid=None) -> EnergyReport:
 
 
 def _assemble_report(area, volume, willmore, bending, gap, params, closed):
-    breakdown = {"willmore": willmore, "bending": bending,
-                 "area_term": params.lam1 * area}
     helfrich = lcw = None
     if closed:
-        breakdown["volume_term"] = params.lam2 * volume
-        helfrich = bending + breakdown["area_term"] + breakdown["volume_term"]
+        helfrich = bending + params.lam1 * area + params.lam2 * volume
         lcw = willmore + params.lam1 * area + params.lam2 * volume
     return EnergyReport(area=area, volume=volume, willmore=willmore,
-                        helfrich=helfrich, lcw=lcw, gap=gap,
-                        breakdown=breakdown, closed=closed)
+                        bending=bending, helfrich=helfrich, lcw=lcw, gap=gap,
+                        closed=closed)
 
 
 def _mesh_energies(mesh: TriangleMesh, params: EnergyParams,

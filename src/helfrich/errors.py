@@ -16,10 +16,6 @@ class ParameterError(HelfrichError):
         super().__init__(f"{field}: {message}")
 
 
-class TopologyError(HelfrichError):
-    """Operation requires a topology the mesh does not have (e.g. closedness)."""
-
-
 class MeshInputError(HelfrichError):
     """Mesh file could not be parsed or describes unsupported geometry.
 
@@ -37,12 +33,9 @@ class OperatorError(HelfrichError):
     """Discrete operator assembly failed (degenerate face, bad field shape)."""
 
 
-class UndefinedFunctionalError(HelfrichError):
-    """A volume-weighted functional was requested on a non-closed surface."""
-
-
 class UnsupportedError(HelfrichError):
-    """Operation not available for this input (documented restriction)."""
+    """Operation not available for this input (documented restriction),
+    such as an open mesh or surface given to one that needs a closed one."""
 
 
 class FitError(HelfrichError):

@@ -132,6 +132,7 @@ import dataclasses
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -144,7 +145,7 @@ from .curvature import _OneRing, curvature_bundle
 from .curvature import _face_data  # noqa: F401
 from .energy import EnergyParams, _mesh_energies
 from .errors import FitError, NumericalError, OperatorError, UnsupportedError
-from .mesh import TriangleMesh, validate
+from .mesh import TriangleMesh, _is_integer, validate
 from .output import write_csv, write_json
 from .variation import _gradient_coefficient, _mesh_residual
 
@@ -153,7 +154,6 @@ MODES = ("energy_descent", "residual_descent")
 # above STEP_TOL, or the objective fell by at most FTOL of its scale over the
 # last FTOL_WINDOW accepted steps.  meta's stop_reason names the test:
 # grad_tol, ftol, step_tol, max_iters or degenerate_mesh.
-VERDICTS = ("converged", "stalled", "max_iters", "degenerate_mesh")
 BACKTRACK_FACTOR = 0.5       # line-search shrink per rejected trial
 WARM_START_FACTOR = 4.0      # first trial <= this x last accepted displacement
 SUFFICIENT_DECREASE = 1e-4   # Armijo constant
@@ -186,12 +186,13 @@ class FlowConfig:
             raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
         for name in ("max_iterations", "log_every"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-@dataclass
-class FlowRow:
+class FlowRow(NamedTuple):
+    """One trace row; the fields are the columns of ``flow_trace.csv``."""
+
     iteration: int
     objective: float
     energy: float
@@ -201,18 +202,15 @@ class FlowRow:
     residual_linf: float
     step_size: float
     accepted: bool
-    fit_center: tuple
+    fit_cx: float
+    fit_cy: float
+    fit_cz: float
     fit_radius: float
     fit_rms: float
     # The gradient norm of the last direction taken and the trials its line
     # search rejected; for an accepted row, those of the step to its iterate.
     grad_norm: float
     backtracks: int
-
-    CSV_FIELDS = ("iteration", "objective", "energy", "area", "volume",
-                  "residual_l2", "residual_linf", "step_size", "accepted",
-                  "fit_cx", "fit_cy", "fit_cz", "fit_radius", "fit_rms",
-                  "grad_norm", "backtracks")
 
 
 @dataclass
@@ -226,11 +224,7 @@ class FlowTrace:
     meta: dict = dataclasses.field(default_factory=dict)   # run counters
 
     def write_csv(self, path):
-        write_csv(path, FlowRow.CSV_FIELDS, zip(*(
-            (r.iteration, r.objective, r.energy, r.area, r.volume, r.residual_l2,
-             r.residual_linf, r.step_size, r.accepted, *r.fit_center,
-             r.fit_radius, r.fit_rms, r.grad_norm, r.backtracks)
-            for r in self.rows)))
+        write_csv(path, FlowRow._fields, zip(*self.rows))
 
     def summary_dict(self):
         last = self.rows[-1]
@@ -246,7 +240,7 @@ class FlowTrace:
             "final_area": last.area,
             "final_volume": last.volume,
             "final_residual_l2": last.residual_l2,
-            "fit_center": list(last.fit_center) if fitted else None,
+            "fit_center": [last.fit_cx, last.fit_cy, last.fit_cz] if fitted else None,
             "fit_radius": last.fit_radius if fitted else None,
             "fit_rms": last.fit_rms if fitted else None,
         }
@@ -579,8 +573,9 @@ def flow_run(mesh: TriangleMesh, params: EnergyParams,
             iteration=it, objective=obj, energy=energies.helfrich,
             area=float(field.areas.sum()), volume=energies.volume,
             residual_l2=field.l2, residual_linf=field.linf, step_size=step_size,
-            accepted=accepted, fit_center=tuple(center), fit_radius=radius,
-            fit_rms=rms, grad_norm=grad_norm, backtracks=backtracks))
+            accepted=accepted, fit_cx=center[0], fit_cy=center[1],
+            fit_cz=center[2], fit_radius=radius, fit_rms=rms,
+            grad_norm=grad_norm, backtracks=backtracks))
 
     with clock("line_search_s"):
         obj, bundle = engine.objective(mesh)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshInputError, ParameterError, TopologyError, UnsupportedError
+from .errors import MeshInputError, ParameterError, UnsupportedError
 
 DEGENERATE_AREA_REL = 1e-12  # of (bbox diagonal)^2
 
@@ -299,7 +299,7 @@ def mesh_integrals(mesh: TriangleMesh) -> dict:
 
 def signed_volume(mesh: TriangleMesh) -> float:
     if not mesh.closed:
-        raise TopologyError("signed volume requires a closed mesh")
+        raise UnsupportedError("signed volume requires a closed mesh")
     p0, p1, p2 = mesh.face_corner_positions()
     return float(np.einsum("ij,ij->", p0, np.cross(p1, p2)) / 6.0)
 
@@ -350,9 +350,14 @@ def _check(ok, field, message):
         raise ParameterError(field, message)
 
 
+def _is_integer(x):
+    """An int or numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_sphere(radius, level):
     _check(radius > 0, "radius", f"must be > 0, got {radius}")
-    _check(isinstance(level, (int, np.integer)) and level >= 0,
+    _check(_is_integer(level) and level >= 0,
            "level", f"must be an integer >= 0, got {level}")
 
 
@@ -380,6 +385,7 @@ def catenoid_mesh(neck_scale=1.0, half_height=2.0, grid=(64, 64)):
     sampled on ``grid`` = (around, along) points; open at both ends."""
     _check(neck_scale > 0, "neck_scale", f"must be > 0, got {neck_scale}")
     _check(half_height > 0, "half_height", f"must be > 0, got {half_height}")
+    _check(all(map(_is_integer, grid)), "grid", f"must hold integers, got {grid}")
     nu, nv = grid
     _check(nu >= 3 and nv >= 2, "grid", f"need at least 3x2 samples, got {grid}")
     u = np.linspace(0.0, 2 * np.pi, nu, endpoint=False)
@@ -393,6 +399,7 @@ def catenoid_mesh(neck_scale=1.0, half_height=2.0, grid=(64, 64)):
 def flat_patch(grid=(16, 16), extent=(1.0, 1.0)):
     """The rectangle [0, Lx] x [0, Ly] in the plane z = 0, ``extent`` = (Lx,
     Ly), cut into ``grid`` = (nx, ny) cells of two triangles."""
+    _check(all(map(_is_integer, grid)), "grid", f"must hold integers, got {grid}")
     nx, ny = grid
     _check(nx >= 1 and ny >= 1, "grid", f"need at least 1x1 cells, got {grid}")
     _check(extent[0] > 0 and extent[1] > 0, "extent",

@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import ParametricSurface, QuadratureGrid, residual_values
 from .curvature import curvature_bundle
 from .energy import EnergyParams, evaluate_energies
-from .errors import MeshInputError, UndefinedFunctionalError, UnsupportedError
+from .errors import MeshInputError, UnsupportedError
 from .mesh import TriangleMesh, signed_volume
 from .output import write_csv
 
@@ -113,9 +113,8 @@ def mesh_energy(mesh: TriangleMesh, params: EnergyParams) -> float:
     if report.closed:
         return report.helfrich
     if params.lam1 == 0.0 and params.lam2 == 0.0:
-        return report.breakdown["bending"]
-    raise UndefinedFunctionalError(
-        "area/volume-weighted energy on an open mesh")
+        return report.bending
+    raise UnsupportedError("area/volume-weighted energy on an open mesh")
 
 
 def area_gradient(mesh: TriangleMesh) -> np.ndarray:
@@ -154,8 +153,7 @@ def energy_gradient(mesh: TriangleMesh, params: EnergyParams) -> np.ndarray:
     finite-difference cross-check.
     """
     if not mesh.closed and not (params.lam1 == 0.0 and params.lam2 == 0.0):
-        raise UndefinedFunctionalError(
-            "area/volume-weighted gradient on an open mesh")
+        raise UnsupportedError("area/volume-weighted gradient on an open mesh")
     bundle = curvature_bundle(mesh)
     return _gradient_coefficient(mesh, bundle, params)[:, None] * bundle.normal
 

@@ -453,7 +453,7 @@ def test_oracle_reports_evaluate_each_grid_once_and_match_per_integrand(
     assert energies.area == oracle_integrate(surface, lambda g: 1.0, grid)
     assert energies.willmore == oracle_integrate(
         surface, lambda g: 0.25 * g.mean_curvature**2, grid)
-    assert energies.breakdown["bending"] == oracle_integrate(
+    assert energies.bending == oracle_integrate(
         surface, lambda g: 0.25 * (g.mean_curvature - params.c0) ** 2, grid)
     assert energies.gap == oracle_integrate(surface, lambda g: g.tracefree_sq, grid)
     if surface.closed:

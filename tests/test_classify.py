@@ -217,10 +217,10 @@ def test_classify_reports_discrepancy_without_raising():
 
 def test_verdict_json(tmp_path):
     import json
-    from helfrich.classify import write_verdict_json
+    from helfrich.output import write_json
     v = classify_case(EnergyParams(0.0, 1.0, -1.0))
     path = tmp_path / "verdict.json"
-    write_verdict_json(v, path)
+    write_json(path, v.to_json_dict())
     payload = json.loads(path.read_text())
     assert payload["result"]["branch"] == "lam1>0,lam2<0"
     assert "small-gap regime" in payload["result"]["note"]

@@ -32,11 +32,10 @@ def test_catenoid_oracle_partial_report():
     assert rep.volume is None and rep.lcw is None and rep.helfrich is None
 
 
-def test_breakdown_reproduces_total():
+def test_helfrich_is_bending_plus_weighted_area_and_volume():
     rep = evaluate_energies(hf.icosphere(1.5, 3), EnergyParams(0.3, 2.0, -0.7))
-    total = (rep.breakdown["bending"] + rep.breakdown["area_term"]
-             + rep.breakdown["volume_term"])
-    assert rep.helfrich == pytest.approx(total, rel=1e-12)
+    assert rep.bending != rep.willmore
+    assert rep.helfrich == (rep.bending + 2.0 * rep.area) + -0.7 * rep.volume
     assert rep.lcw == pytest.approx(
         rep.willmore + 2.0 * rep.area - 0.7 * rep.volume, rel=1e-12)
 

@@ -30,7 +30,8 @@ def test_config_validation():
     for bad in ({"initial_step": np.inf}, {"initial_step": np.nan},
                 {"grad_tol": np.nan}, {"grad_tol": np.inf}, {"grad_tol": -1.0},
                 {"max_iterations": 2.5}, {"max_iterations": 3.0},
-                {"log_every": 1.5}, {"log_every": 0}):
+                {"log_every": 1.5}, {"log_every": 0},
+                {"max_iterations": True}, {"log_every": True}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             FlowConfig(**bad).validate()
     FlowConfig(max_iterations=np.int64(3), log_every=np.int64(2)).validate()
@@ -913,7 +914,7 @@ def test_trace_rows_carry_gradient_norm_and_backtracks(tmp_path, monkeypatch):
         1 + sum(r.backtracks + r.accepted for r in tr.rows)
     tr.write_csv(tmp_path / "trace.csv")
     header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert tuple(header.split(",")) == flow.FlowRow.CSV_FIELDS
+    assert tuple(header.split(",")) == flow.FlowRow._fields
     assert header.endswith(",fit_rms,grad_norm,backtracks")
     assert [line.split(",")[-2:] for line in lines] == \
         [[repr(r.grad_norm), str(r.backtracks)] for r in tr.rows]

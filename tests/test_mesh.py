@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helfrich as hf
 from helfrich.curvature import angle_defect_total
-from helfrich.errors import MeshInputError, ParameterError, TopologyError, UnsupportedError
+from helfrich.errors import MeshInputError, ParameterError, UnsupportedError
 from helfrich.mesh import radial_profile
 
 
@@ -77,6 +77,21 @@ def test_invalid_specs_name_field():
         assert str(e.value).startswith(f"{field}: {message}")
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: hf.icosphere(1.0, True), "level"),
+    (lambda: hf.perturbed_sphere(level=False), "level"),
+    (lambda: hf.catenoid_mesh(grid=(8.5, 4)), "grid"),
+    (lambda: hf.catenoid_mesh(grid=(8, 4.0)), "grid"),
+    (lambda: hf.flat_patch(grid=(2.5, 3)), "grid"),
+    (lambda: hf.flat_patch(grid=(True, 3)), "grid"),
+], ids=["icosphere-True", "perturbed_sphere-False", "catenoid-8.5", "catenoid-4.0",
+        "flat_patch-2.5", "flat_patch-True"])
+def test_builder_counts_must_be_integers_not_bools(make, field):
+    with pytest.raises(ParameterError) as e:
+        make()
+    assert e.value.field == field
+
+
 def test_sphere_integrals_converge():
     m = hf.icosphere(1.0, 5)
     ints = hf.mesh_integrals(m)
@@ -104,7 +119,7 @@ def test_orientation_reversal_flips_volume():
 
 def test_signed_volume_requires_closed():
     from helfrich.mesh import signed_volume
-    with pytest.raises(TopologyError):
+    with pytest.raises(UnsupportedError):
         signed_volume(hf.flat_patch((4, 4)))
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helfrich as hf
-from helfrich.analytic import QuadratureGrid, plane_patch, sphere
+from helfrich.analytic import AmbientField, QuadratureGrid, catenoid, plane_patch, sphere
 from helfrich.curvature import cotan_operator, curvature_bundle
 from helfrich.energy import EnergyParams, evaluate_energies
-from helfrich.errors import UndefinedFunctionalError, UnsupportedError
+from helfrich.errors import UnsupportedError
 from helfrich.mesh import signed_volume
 from helfrich.variation import (
     FD_STEP_REL,
@@ -248,12 +248,35 @@ def test_fd_and_assembled_gradients_agree_directionally():
 
 def test_open_mesh_lambda_energy_undefined():
     patch = hf.flat_patch((6, 6))
-    with pytest.raises(UndefinedFunctionalError):
+    with pytest.raises(UnsupportedError):
         mesh_energy(patch, EnergyParams(0.0, 1.0, 0.0))
-    with pytest.raises(UndefinedFunctionalError):
+    with pytest.raises(UnsupportedError):
         energy_gradient(patch, EnergyParams(0.0, 1.0, 0.0))
     # pure bending is fine
     assert mesh_energy(patch, EnergyParams()) == pytest.approx(0.0, abs=1e-20)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: signed_volume(hf.flat_patch((4, 4))), id="signed_volume"),
+    pytest.param(lambda: hf.refine(hf.flat_patch((4, 4))), id="refine"),
+    pytest.param(lambda: mesh_energy(hf.flat_patch((4, 4)), EnergyParams(0.0, 1.0, 0.0)),
+                 id="mesh_energy"),
+    pytest.param(lambda: energy_gradient(hf.flat_patch((4, 4)), EnergyParams(0.0, 0.0, 1.0)),
+                 id="energy_gradient"),
+    pytest.param(lambda: gradient_check(hf.catenoid_mesh(grid=(8, 4)), EnergyParams()),
+                 id="gradient_check"),
+    pytest.param(lambda: hf.flow_run(hf.flat_patch((4, 4)), EnergyParams(), hf.FlowConfig()),
+                 id="flow_run-flat_patch"),
+    pytest.param(lambda: hf.flow_run(hf.catenoid_mesh(grid=(8, 4)), EnergyParams(),
+                                     hf.FlowConfig()), id="flow_run-catenoid_mesh"),
+    pytest.param(lambda: hf.variation_check(catenoid(), EnergyParams(), AmbientField.constant()),
+                 id="variation_check-catenoid"),
+    pytest.param(lambda: hf.variation_check(plane_patch(), EnergyParams(),
+                                            AmbientField.constant()), id="variation_check-plane"),
+])
+def test_closed_only_operation_raises_unsupported_on_open_input(call):
+    with pytest.raises(UnsupportedError):
+        call()
 
 
 def _add_at_corners(mesh, values):
@@ -305,7 +328,7 @@ def _residual_terms(params, H, K, tracefree_sq):
             + np.abs((2.0 * params.lam1 + 0.5 * c0 * c0) * H) + abs(2.0 * params.lam2))
 
 
-def _assert_scaling_law(report, scaled_report, r, scaled_r, s, r_scale):
+def _assert_scaling_law(params, report, scaled_report, r, scaled_r, s, r_scale):
     """W and the Helfrich total are invariant and s^3 times the scaled
     residual is the residual: bitwise when s is a power of two, whose
     products round exactly, and to roundoff otherwise."""
@@ -315,7 +338,8 @@ def _assert_scaling_law(report, scaled_report, r, scaled_r, s, r_scale):
         assert scaled_report.helfrich == report.helfrich
         assert np.array_equal(s**3 * scaled_r, r)
         return
-    terms = sum(abs(report.breakdown[k]) for k in ("bending", "area_term", "volume_term"))
+    terms = (abs(report.bending) + abs(params.lam1 * report.area)
+             + abs(params.lam2 * report.volume))
     assert abs(scaled_report.willmore - report.willmore) <= 4 * eps * report.willmore
     assert abs(scaled_report.helfrich - report.helfrich) <= 16 * eps * terms
     assert np.abs(s**3 * scaled_r - r).max() <= 1e-13 * r_scale
@@ -340,7 +364,7 @@ def test_mesh_scaling_law(level, amplitude, radius, c0, lam1, lam2, s):
     H = b.mean_curvature
     r_scale = (abs(op.stiffness) @ np.abs(H) / b.vertex_area
                + _residual_terms(params, H, b.gauss_curvature, b.tracefree_sq)).max()
-    _assert_scaling_law(evaluate_energies(m, params),
+    _assert_scaling_law(params, evaluate_energies(m, params),
                         evaluate_energies(big, _scaled(params, s)),
                         el_residual(m, params).values,
                         el_residual(big, _scaled(params, s)).values, s, r_scale)
@@ -358,7 +382,7 @@ def test_oracle_sphere_scaling_law(radius, c0, lam1, lam2, s):
     r_scale = _residual_terms(params, g.mean_curvature, g.gauss_curvature,
                               g.tracefree_sq).max()
     big = sphere(s * radius)
-    _assert_scaling_law(evaluate_energies(surface, params),
+    _assert_scaling_law(params, evaluate_energies(surface, params),
                         evaluate_energies(big, _scaled(params, s)),
                         el_residual(surface, params).values,
                         el_residual(big, _scaled(params, s)).values, s, r_scale)
